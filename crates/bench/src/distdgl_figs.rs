@@ -2,10 +2,10 @@
 
 use gp_core::amortize::{epochs_to_amortize, fmt_amortize};
 use gp_core::config::{PaperParams, ParamGrid};
-use gp_core::experiment::distdgl_epoch;
+use gp_core::family::DistDgl;
 use gp_core::report::{fmt, Distribution, Table};
 use gp_core::sweep::distdgl_grid;
-use gp_graph::DatasetId;
+use gp_graph::{DatasetId, Graph, VertexSplit};
 use gp_tensor::ModelKind;
 
 use crate::{scale_out_factors, Ctx};
@@ -17,6 +17,15 @@ const DEFAULT_GBS: u32 = 1024;
 /// Batch sizes of the Figure-26 sweep: scaled analogues of the paper's
 /// 512 … 32768 (same ×64 span).
 const BATCH_SWEEP: [u32; 7] = [32, 64, 128, 256, 512, 1024, 2048];
+
+/// DistDGL training GraphSAGE with `params` on `graph` and `split` at
+/// [`DEFAULT_GBS`].
+fn sage<'g>(graph: &'g Graph, split: &'g VertexSplit, params: PaperParams) -> DistDgl<'g> {
+    DistDgl {
+        global_batch_size: DEFAULT_GBS,
+        ..DistDgl::new(graph, split, params.model(ModelKind::Sage))
+    }
+}
 
 fn dist_cells(d: &Distribution) -> Vec<String> {
     vec![fmt(d.min), fmt(d.p25), fmt(d.median), fmt(d.p75), fmt(d.max), fmt(d.mean)]
@@ -68,14 +77,8 @@ pub fn fig14(ctx: &Ctx) {
         for k in [factors[0], *factors.last().expect("non-empty")] {
             let split = ctx.split(id);
             for tp in ctx.vertex_partitions(id, k).iter() {
-                let summary = distdgl_epoch(
-                    &ctx.graph(id),
-                    &tp.partition,
-                    &split,
-                    PaperParams::middle(),
-                    ModelKind::Sage,
-                    DEFAULT_GBS,
-                );
+                let summary = sage(&ctx.graph(id), &split, PaperParams::middle())
+                    .healthy_epoch(&tp.partition);
                 t.push(vec![
                     id.name().into(),
                     k.to_string(),
@@ -122,12 +125,9 @@ pub fn fig16(ctx: &Ctx) {
             let parts = ctx.vertex_partitions(id, k);
             let split = ctx.split(id);
             for outcome in distdgl_grid(
-                &ctx.graph(id),
-                &split,
+                &sage(&ctx.graph(id), &split, PaperParams::middle()),
                 &parts,
                 &grid,
-                ModelKind::Sage,
-                DEFAULT_GBS,
                 ctx.threads,
             ) {
                 let d = Distribution::of(&outcome.speedups).expect("non-empty grid");
@@ -147,14 +147,8 @@ pub fn fig17(ctx: &Ctx) {
     for id in DatasetId::ALL {
         let split = ctx.split(id);
         for tp in ctx.vertex_partitions(id, k).iter() {
-            let summary = distdgl_epoch(
-                &ctx.graph(id),
-                &tp.partition,
-                &split,
-                PaperParams::middle(),
-                ModelKind::Sage,
-                DEFAULT_GBS,
-            );
+            let summary =
+                sage(&ctx.graph(id), &split, PaperParams::middle()).healthy_epoch(&tp.partition);
             t.push(vec![id.name().into(), tp.name.clone(), fmt(summary.mean_time_balance)]);
         }
     }
@@ -172,12 +166,9 @@ fn speedup_axis(ctx: &Ctx, name: &str, grids: &[(usize, PaperParams)]) {
             let parts = ctx.vertex_partitions(id, k);
             let split = ctx.split(id);
             for outcome in distdgl_grid(
-                &ctx.graph(id),
-                &split,
+                &sage(&ctx.graph(id), &split, PaperParams::middle()),
                 &parts,
                 &grid,
-                ModelKind::Sage,
-                DEFAULT_GBS,
                 ctx.threads,
             ) {
                 for (&(value, _), &s) in grids.iter().zip(outcome.speedups.iter()) {
@@ -240,7 +231,11 @@ fn phase_table(
     let split = ctx.split(id);
     for (label, params, gbs) in configs {
         for tp in ctx.vertex_partitions(id, k).iter() {
-            let s = distdgl_epoch(&ctx.graph(id), &tp.partition, &split, *params, kind, *gbs);
+            let s = DistDgl {
+                global_batch_size: *gbs,
+                ..DistDgl::new(&ctx.graph(id), &split, params.model(kind))
+            }
+            .healthy_epoch(&tp.partition);
             t.push(vec![
                 label.clone(),
                 tp.name.clone(),
@@ -327,12 +322,9 @@ pub fn fig24(ctx: &Ctx) {
                 .partition
                 .edge_cut_ratio();
             for outcome in distdgl_grid(
-                &ctx.graph(id),
-                &split,
+                &sage(&ctx.graph(id), &split, PaperParams::middle()),
                 &parts,
                 &grid,
-                ModelKind::Sage,
-                DEFAULT_GBS,
                 ctx.threads,
             ) {
                 let tp = parts.iter().find(|p| p.name == outcome.name).expect("same set");
@@ -364,8 +356,11 @@ pub fn fig25(ctx: &Ctx) {
         let split = ctx.split(id);
         for &k in &scale_out_factors(ctx.scale) {
             for tp in ctx.vertex_partitions(id, k).iter() {
-                let s =
-                    distdgl_epoch(&ctx.graph(id), &tp.partition, &split, params, kind, DEFAULT_GBS);
+                let s = DistDgl {
+                    global_batch_size: DEFAULT_GBS,
+                    ..DistDgl::new(&ctx.graph(id), &split, params.model(kind))
+                }
+                .healthy_epoch(&tp.partition);
                 t.push(vec![
                     k.to_string(),
                     tp.name.clone(),
@@ -401,12 +396,9 @@ pub fn fig26(ctx: &Ctx) {
         );
         for &gbs in &BATCH_SWEEP {
             for outcome in distdgl_grid(
-                &ctx.graph(id),
-                &split,
+                &DistDgl { global_batch_size: gbs, ..sage(&ctx.graph(id), &split, params) },
                 &parts,
                 &[params],
-                ModelKind::Sage,
-                gbs,
                 ctx.threads,
             ) {
                 t.push(vec![
@@ -439,22 +431,8 @@ pub fn table5(ctx: &Ctx) {
                 let parts = ctx.vertex_partitions(id, k);
                 let random = parts.iter().find(|p| p.name == "Random").expect("baseline");
                 let own = parts.iter().find(|p| p.name == name).expect("registered");
-                let base = distdgl_epoch(
-                    &ctx.graph(id),
-                    &random.partition,
-                    &split,
-                    params,
-                    ModelKind::Sage,
-                    DEFAULT_GBS,
-                );
-                let report = distdgl_epoch(
-                    &ctx.graph(id),
-                    &own.partition,
-                    &split,
-                    params,
-                    ModelKind::Sage,
-                    DEFAULT_GBS,
-                );
+                let base = sage(&ctx.graph(id), &split, params).healthy_epoch(&random.partition);
+                let report = sage(&ctx.graph(id), &split, params).healthy_epoch(&own.partition);
                 values.push(epochs_to_amortize(
                     own.seconds,
                     base.epoch_time(),

@@ -3,12 +3,18 @@
 use gp_core::amortize::{epochs_to_amortize, fmt_amortize};
 use gp_core::config::{PaperParams, ParamGrid};
 use gp_core::correlate::r_squared;
-use gp_core::experiment::distgnn_epoch;
+use gp_core::family::DistGnn;
 use gp_core::report::{fmt, Distribution, Table};
 use gp_core::sweep::distgnn_grid;
-use gp_graph::DatasetId;
+use gp_graph::{DatasetId, Graph};
+use gp_tensor::ModelKind;
 
 use crate::{scale_out_factors, Ctx};
+
+/// DistGNN training GraphSAGE with `params` on `graph`.
+fn sage(graph: &Graph, params: PaperParams) -> DistGnn<'_> {
+    DistGnn::new(graph, params.model(ModelKind::Sage))
+}
 
 fn dist_cells(d: &Distribution) -> Vec<String> {
     vec![fmt(d.min), fmt(d.p25), fmt(d.median), fmt(d.p75), fmt(d.max), fmt(d.mean)]
@@ -47,7 +53,7 @@ pub fn fig3(ctx: &Ctx) {
         for layers in [2usize, 3, 4] {
             let params = PaperParams { num_layers: layers, ..PaperParams::middle() };
             for tp in ctx.edge_partitions(id, k).iter() {
-                let report = distgnn_epoch(&ctx.graph(id), &tp.partition, params);
+                let report = sage(&ctx.graph(id), params).healthy_epoch(&tp.partition);
                 let gb = report.counters.total_network_bytes() as f64 / 1e9;
                 rf_all.push(tp.partition.replication_factor());
                 traffic_all.push(gb);
@@ -69,7 +75,7 @@ pub fn fig3(ctx: &Ctx) {
             let mut ys = Vec::new();
             let params = PaperParams { num_layers: layers, ..PaperParams::middle() };
             for tp in ctx.edge_partitions(id, k).iter() {
-                let report = distgnn_epoch(&ctx.graph(id), &tp.partition, params);
+                let report = sage(&ctx.graph(id), params).healthy_epoch(&tp.partition);
                 xs.push(tp.partition.replication_factor());
                 ys.push(report.counters.total_network_bytes() as f64);
             }
@@ -112,7 +118,7 @@ pub fn fig5(ctx: &Ctx) {
     let mut mb_all = Vec::new();
     for id in DatasetId::ALL {
         for tp in ctx.edge_partitions(id, 4).iter() {
-            let report = distgnn_epoch(&ctx.graph(id), &tp.partition, PaperParams::middle());
+            let report = sage(&ctx.graph(id), PaperParams::middle()).healthy_epoch(&tp.partition);
             let mb = report.memory_balance();
             let vb = tp.partition.vertex_balance();
             vb_all.push(vb);
@@ -158,7 +164,12 @@ pub fn fig7(ctx: &Ctx) {
     for id in DatasetId::ALL {
         for &k in &scale_out_factors(ctx.scale) {
             let parts = ctx.edge_partitions(id, k);
-            for outcome in distgnn_grid(&ctx.graph(id), &parts, &grid, ctx.threads) {
+            for outcome in distgnn_grid(
+                &sage(&ctx.graph(id), PaperParams::middle()),
+                &parts,
+                &grid,
+                ctx.threads,
+            ) {
                 let d = Distribution::of(&outcome.speedups).expect("non-empty grid");
                 let mut row = vec![id.name().to_string(), k.to_string(), outcome.name.clone()];
                 row.extend(dist_cells(&d));
@@ -180,7 +191,9 @@ pub fn fig8(ctx: &Ctx) {
         "fig8_rf_vs_speedup_en",
         &["partitioner", "rf", "vertex_balance", "mean_speedup"],
     );
-    for outcome in distgnn_grid(&ctx.graph(id), &parts, &grid, ctx.threads) {
+    for outcome in
+        distgnn_grid(&sage(&ctx.graph(id), PaperParams::middle()), &parts, &grid, ctx.threads)
+    {
         let tp = parts.iter().find(|p| p.name == outcome.name).expect("same set");
         t.push(vec![
             outcome.name.clone(),
@@ -204,7 +217,12 @@ pub fn fig9(ctx: &Ctx) {
     for id in DatasetId::ALL {
         for k in [factors[0], *factors.last().expect("non-empty")] {
             let parts = ctx.edge_partitions(id, k);
-            for outcome in distgnn_grid(&ctx.graph(id), &parts, &grid, ctx.threads) {
+            for outcome in distgnn_grid(
+                &sage(&ctx.graph(id), PaperParams::middle()),
+                &parts,
+                &grid,
+                ctx.threads,
+            ) {
                 let d = Distribution::of(&outcome.memory_pct).expect("non-empty grid");
                 let mut row = vec![id.name().to_string(), k.to_string(), outcome.name.clone()];
                 row.extend(dist_cells(&d));
@@ -258,9 +276,9 @@ pub fn fig10(ctx: &Ctx) {
     let random = parts.iter().find(|p| p.name == "Random").expect("baseline");
     for (axis, grid) in axes {
         for params in &grid {
-            let base = distgnn_epoch(&graph, &random.partition, *params);
+            let base = sage(&graph, *params).healthy_epoch(&random.partition);
             for tp in parts.iter() {
-                let report = distgnn_epoch(&graph, &tp.partition, *params);
+                let report = sage(&graph, *params).healthy_epoch(&tp.partition);
                 let value = match axis {
                     "feature_size" => params.feature_size,
                     "hidden_dim" => params.hidden_dim,
@@ -300,7 +318,12 @@ pub fn fig11(ctx: &Ctx) {
                 .expect("baseline")
                 .partition
                 .replication_factor();
-            for outcome in distgnn_grid(&ctx.graph(id), &parts, &grid, ctx.threads) {
+            for outcome in distgnn_grid(
+                &sage(&ctx.graph(id), PaperParams::middle()),
+                &parts,
+                &grid,
+                ctx.threads,
+            ) {
                 let tp = parts.iter().find(|p| p.name == outcome.name).expect("same set");
                 let entry = acc.entry(outcome.name.clone()).or_default();
                 entry.0.extend_from_slice(&outcome.speedups);
@@ -337,8 +360,8 @@ pub fn table4(ctx: &Ctx) {
                 let parts = ctx.edge_partitions(id, k);
                 let random = parts.iter().find(|p| p.name == "Random").expect("baseline");
                 let own = parts.iter().find(|p| p.name == name).expect("registered");
-                let base = distgnn_epoch(&ctx.graph(id), &random.partition, params);
-                let report = distgnn_epoch(&ctx.graph(id), &own.partition, params);
+                let base = sage(&ctx.graph(id), params).healthy_epoch(&random.partition);
+                let report = sage(&ctx.graph(id), params).healthy_epoch(&own.partition);
                 values.push(epochs_to_amortize(
                     own.seconds,
                     base.epoch_time(),

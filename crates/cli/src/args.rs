@@ -40,7 +40,7 @@ COMMANDS:
         --algo NAME                 partitioner (see `gnnpart list`)
         -k N                        machines (default 8)
         --system distgnn|distdgl    (default distgnn)
-        --model sage|gcn|gat        (distdgl only, default sage)
+        --model sage|gcn|gat        (default sage; DistGNN accepts sage only)
         --features N --hidden N --layers N   (default 64/64/3)
         --directed                  treat input as directed
         --faults                    inject a seeded fault schedule

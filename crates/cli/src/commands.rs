@@ -1,18 +1,29 @@
 //! Command implementations.
 
 use std::error::Error;
+use std::fmt::{Display, Write as _};
 use std::io::Write;
 use std::path::Path;
 
 use gp_cluster::{
-    ClusterSpec, FaultPlan, FaultSpec, MitigationPolicy, MitigationReport, RecoveryReport, RunSpec,
-    TraceSink,
+    validate_fault_churn, CheckpointConfig, ChurnPlan, ElasticOptions, FaultPlan, FaultSpec,
+    MetricsSnapshot, MitigationPolicy, MitigationReport, NetFaultPlan, NetRunOptions,
+    RecoveryReport, RunReport, RunSpec, TraceSink,
 };
+use gp_core::chaos::{chaos_bench_json, chaos_churn_spec, chaos_soak, chaos_table};
+use gp_core::config::PaperParams;
+use gp_core::diagnose::{diagnose_prometheus, diagnose_report, diagnose_run, diagnose_spec};
+use gp_core::experiment::Timed;
+use gp_core::family::{DistDgl, DistGnn, Family};
+use gp_core::netchaos::{netchaos_bench_json, netchaos_net_spec, netchaos_soak, netchaos_table};
 use gp_core::registry;
-use gp_distdgl::{DistDglConfig, DistDglEngine};
-use gp_distgnn::{DistGnnConfig, DistGnnEngine};
-use gp_exec::Parallelism;
-use gp_graph::{edgelist, DatasetId, DegreeStats, Graph, VertexSplit};
+use gp_core::report::Table;
+use gp_core::stream_sweep::{stream_bench_json, stream_policies, stream_sweep, stream_table};
+use gp_core::trace_run::trace_run;
+use gp_distgnn::DistGnnError;
+use gp_exec::{Parallelism, Threads};
+use gp_graph::{edgelist, DatasetId, DegreeStats, Graph, StreamSpec, VertexSplit};
+use gp_partition::{EdgePartition, VertexPartition};
 use gp_tensor::{ModelConfig, ModelKind};
 
 use crate::args::{
@@ -118,165 +129,301 @@ fn write_assignments(path: &Path, assignments: &[u32]) -> std::io::Result<()> {
     f.flush()
 }
 
+/// A command body for whichever engine family `--system` names.
+trait Body {
+    fn run<F: System>(self, family: &F) -> CmdResult;
+}
+
+/// Run `body` on the engine family `system` names, training `model` on
+/// `graph`: the one place that maps `--system` to an engine. DistGNN
+/// trains GraphSAGE only, so it rejects any other model here, before
+/// anything is partitioned; DistDGL trains on the 10/10/80 split of
+/// seed 42, which also seeds ByteGNN. `checkpoint_every` is DistGNN's
+/// fixed-fleet checkpoint period.
+fn on_family(
+    system: &str,
+    graph: &Graph,
+    model: ModelConfig,
+    checkpoint_every: u32,
+    body: impl Body,
+) -> CmdResult {
+    match system {
+        "distgnn" if model.kind != ModelKind::Sage => {
+            Err(DistGnnError::UnsupportedModel(model.kind.name().into()).into())
+        }
+        "distgnn" => body.run(&DistGnn { checkpoint_every, ..DistGnn::new(graph, model) }),
+        "distdgl" => {
+            let split = VertexSplit::paper_default(graph.num_vertices(), 42)?;
+            body.run(&DistDgl::new(graph, &split, model))
+        }
+        other => Err(format!("unknown system {other:?} (distgnn|distdgl)").into()),
+    }
+}
+
+/// [`on_family`] over the graph, model and checkpoint period of a
+/// simulate-style command.
+fn on_input(sim: &SimulateCmd, body: impl Body) -> CmdResult {
+    let graph = load(&sim.input, sim.directed)?;
+    on_family(&sim.system, &graph, model(sim)?, sim.checkpoint_every, body)
+}
+
+/// What `gnnpart` reports differently per engine family.
+trait System: Family {
+    /// The partitioner kind the family trains on, with its article.
+    const PARTITIONER: &'static str;
+
+    /// `rows` as the `(distgnn, distdgl)` sections of a bench document.
+    fn sections<R>(rows: &[R]) -> (&[R], &[R]);
+
+    /// `gnnpart simulate` on `partition`: its summary prints fields only
+    /// this engine reports.
+    fn simulate(
+        &self,
+        cmd: &SimulateCmd,
+        partition: &Self::Partition,
+        policy: MitigationPolicy,
+        out: &mut String,
+    ) -> CmdResult;
+}
+
+impl System for DistGnn<'_> {
+    const PARTITIONER: &'static str = "an edge";
+
+    fn sections<R>(rows: &[R]) -> (&[R], &[R]) {
+        (rows, &[])
+    }
+
+    fn simulate(
+        &self,
+        cmd: &SimulateCmd,
+        partition: &EdgePartition,
+        policy: MitigationPolicy,
+        out: &mut String,
+    ) -> CmdResult {
+        let engine = self.native_engine(partition, cmd.engine_threads, TraceSink::disabled())?;
+        writeln!(out, "DistGNN (full-batch) on {} machines with {}", cmd.k, cmd.algo)?;
+        writeln!(out, "replication factor: {:.3}", partition.replication_factor())?;
+        if cmd.faults {
+            let note = |crashed: &[u32]| match crashed {
+                [] => String::new(),
+                crashed => format!("  (crash: machines {crashed:?})"),
+            };
+            let (epochs, aborted) = fault_epochs(
+                engine.run(&fault_spec(cmd, policy))?,
+                |r| FaultEpoch {
+                    seconds: r.report.epoch_time(),
+                    recovery: r.recovery,
+                    mitigation: MitigationReport::default(),
+                    note: note(&r.crashed_machines),
+                },
+                |r| FaultEpoch {
+                    seconds: r.report.epoch_time(),
+                    recovery: r.recovery,
+                    mitigation: r.mitigation,
+                    note: note(&r.crashed_machines),
+                },
+            );
+            return write_fault_run(out, cmd, policy, &epochs, aborted);
+        }
+        let r = engine.run(&RunSpec::healthy())?.into_healthy().remove(0);
+        writeln!(out, "epoch time:         {:.3} ms", r.epoch_time() * 1e3)?;
+        writeln!(out, "  forward:          {:.3} ms", r.phases.forward * 1e3)?;
+        writeln!(out, "  backward:         {:.3} ms", r.phases.backward * 1e3)?;
+        writeln!(out, "  replica sync:     {:.3} ms", r.phases.sync * 1e3)?;
+        writeln!(out, "  optimiser:        {:.3} ms", r.phases.optimizer * 1e3)?;
+        writeln!(
+            out,
+            "network traffic:    {:.2} MB",
+            r.counters.total_network_bytes() as f64 / 1e6
+        )?;
+        writeln!(out, "cluster memory:     {:.2} MB", r.total_memory() as f64 / 1e6)?;
+        if r.any_oom() {
+            writeln!(out, "WARNING: machines {:?} exceed installed memory", r.oom_machines)?;
+        }
+        Ok(())
+    }
+}
+
+impl System for DistDgl<'_> {
+    const PARTITIONER: &'static str = "a vertex";
+
+    fn sections<R>(rows: &[R]) -> (&[R], &[R]) {
+        (&[], rows)
+    }
+
+    fn simulate(
+        &self,
+        cmd: &SimulateCmd,
+        partition: &VertexPartition,
+        policy: MitigationPolicy,
+        out: &mut String,
+    ) -> CmdResult {
+        let engine = self.native_engine(partition, cmd.engine_threads, TraceSink::disabled())?;
+        writeln!(out, "DistDGL (mini-batch) on {} machines with {}", cmd.k, cmd.algo)?;
+        writeln!(out, "edge-cut ratio:  {:.4}", partition.edge_cut_ratio())?;
+        if cmd.faults {
+            let note = |steps: usize, down: &[u32]| match down {
+                [] => format!(", {steps} steps"),
+                down => format!(", {steps} steps  (workers down: {down:?})"),
+            };
+            let (epochs, aborted) = fault_epochs(
+                engine.run(&fault_spec(cmd, policy))?,
+                |r| FaultEpoch {
+                    seconds: r.summary.epoch_time(),
+                    recovery: r.recovery,
+                    mitigation: MitigationReport::default(),
+                    note: note(r.summary.steps, &r.failed_workers),
+                },
+                |r| FaultEpoch {
+                    seconds: r.summary.epoch_time(),
+                    recovery: r.recovery,
+                    mitigation: r.mitigation,
+                    note: note(r.summary.steps, &r.failed_workers),
+                },
+            );
+            return write_fault_run(out, cmd, policy, &epochs, aborted);
+        }
+        let s = engine.run(&RunSpec::healthy())?.into_healthy().remove(0);
+        writeln!(out, "steps/epoch:     {}", s.steps)?;
+        writeln!(out, "epoch time:      {:.3} ms", s.epoch_time() * 1e3)?;
+        writeln!(out, "  sampling:      {:.3} ms", s.phases.sampling * 1e3)?;
+        writeln!(out, "  feature load:  {:.3} ms", s.phases.feature_load * 1e3)?;
+        writeln!(out, "  forward:       {:.3} ms", s.phases.forward * 1e3)?;
+        writeln!(out, "  backward:      {:.3} ms", s.phases.backward * 1e3)?;
+        writeln!(out, "remote vertices: {} / {}", s.total_remote_vertices, s.total_input_vertices)?;
+        writeln!(out, "network traffic: {:.2} MB", s.counters.total_network_bytes() as f64 / 1e6)?;
+        Ok(())
+    }
+}
+
+/// The model `--model`, `--features`, `--hidden` and `--layers` name.
+fn model(sim: &SimulateCmd) -> Result<ModelConfig, Box<dyn Error>> {
+    let kind = ModelKind::parse(&sim.model)
+        .ok_or_else(|| format!("unknown model {:?} (sage|gcn|gat)", sim.model))?;
+    Ok(PaperParams { feature_size: sim.features, hidden_dim: sim.hidden, num_layers: sim.layers }
+        .model(kind))
+}
+
+/// The mitigation policy `--mitigate` names.
+fn mitigation(mode: &str) -> Result<MitigationPolicy, String> {
+    let modes = "none|steal|speculate|adaptive|all";
+    MitigationPolicy::parse(mode)
+        .ok_or_else(|| format!("unknown mitigation mode {mode:?} ({modes})"))
+}
+
+/// `--algo`'s partition of the family's graph into `-k` parts (seed 42).
+fn partition_of<F: System>(family: &F, sim: &SimulateCmd) -> Result<F::Partition, Box<dyn Error>> {
+    Ok(family
+        .partition(&sim.algo, sim.k, 42)
+        .ok_or_else(|| not_a_partitioner::<F>(&sim.algo))??)
+}
+
+/// The roster partitioners `algo` selects: one, or every one for `all`.
+fn roster<F: System>(algo: &str) -> Result<Vec<&'static str>, Box<dyn Error>> {
+    let names: Vec<_> =
+        F::ROSTER.iter().copied().filter(|name| algo == "all" || *name == algo).collect();
+    if names.is_empty() {
+        return Err(not_a_partitioner::<F>(algo));
+    }
+    Ok(names)
+}
+
+fn not_a_partitioner<F: System>(algo: &str) -> Box<dyn Error> {
+    format!("{algo:?} is not {} partitioner", F::PARTITIONER).into()
+}
+
 /// `gnnpart simulate`.
 pub fn simulate(cmd: SimulateCmd) -> CmdResult {
-    let graph = load(&cmd.input, cmd.directed)?;
-    let kind = ModelKind::parse(&cmd.model)
-        .ok_or_else(|| format!("unknown model {:?} (sage|gcn|gat)", cmd.model))?;
-    let policy = MitigationPolicy::parse(&cmd.mitigate).ok_or_else(|| {
-        format!("unknown mitigation mode {:?} (none|steal|speculate|adaptive|all)", cmd.mitigate)
-    })?;
-    let model = ModelConfig {
-        kind,
-        feature_dim: cmd.features,
-        hidden_dim: cmd.hidden,
-        num_layers: cmd.layers,
-        num_classes: 16,
-        seed: 0,
-    };
-    match cmd.system.as_str() {
-        "distgnn" => {
-            let p = registry::edge_partitioner(&cmd.algo)
-                .ok_or_else(|| format!("{:?} is not an edge partitioner", cmd.algo))?;
-            let part = p.partition_edges(&graph, cmd.k, 42)?;
-            let mut config = DistGnnConfig::paper(model, ClusterSpec::paper(cmd.k));
-            config.checkpoint_every = cmd.checkpoint_every;
-            let engine = DistGnnEngine::builder(&graph, &part)
-                .config(config)
-                .threads(cmd.engine_threads)
-                .build()?;
-            println!("DistGNN (full-batch) on {} machines with {}", cmd.k, p.name());
-            println!("replication factor: {:.3}", part.replication_factor());
-            if cmd.faults {
-                let plan = fault_plan(&cmd);
-                let mut recovery = RecoveryReport::default();
-                let mut mitigation = MitigationReport::default();
-                let spec = RunSpec::healthy().epochs(cmd.epochs).faults(plan);
-                let (epochs, aborted) = if policy.is_none() {
-                    let (faulty, err) = engine.run(&spec)?.into_faulty();
-                    let lifted = faulty
-                        .into_iter()
-                        .map(|r| gp_distgnn::MitigatedEpochReport {
-                            report: r.report,
-                            recovery: r.recovery,
-                            crashed_machines: r.crashed_machines,
-                            mitigation: MitigationReport::default(),
-                        })
-                        .collect::<Vec<_>>();
-                    (lifted, err)
-                } else {
-                    engine.run(&spec.mitigate(policy))?.into_mitigated()
-                };
-                let mut total = 0.0;
-                for (epoch, r) in epochs.iter().enumerate() {
-                    total += r.report.epoch_time();
-                    recovery.merge(&r.recovery);
-                    mitigation.merge(&r.mitigation);
-                    let note = if r.crashed_machines.is_empty() {
-                        String::new()
-                    } else {
-                        format!("  (crash: machines {:?})", r.crashed_machines)
-                    };
-                    println!("epoch {epoch:>3}: {:>10.3} ms{note}", r.report.epoch_time() * 1e3);
-                }
-                if let Some(e) = aborted {
-                    println!("epoch {:>3}: training aborted: {e}", epochs.len());
-                }
-                print_recovery(total, &recovery);
-                if !policy.is_none() {
-                    print_mitigation(&cmd.mitigate, &mitigation);
-                }
-            } else {
-                let report = engine.run(&RunSpec::healthy())?.into_healthy().remove(0);
-                println!("epoch time:         {:.3} ms", report.epoch_time() * 1e3);
-                println!("  forward:          {:.3} ms", report.phases.forward * 1e3);
-                println!("  backward:         {:.3} ms", report.phases.backward * 1e3);
-                println!("  replica sync:     {:.3} ms", report.phases.sync * 1e3);
-                println!("  optimiser:        {:.3} ms", report.phases.optimizer * 1e3);
-                println!(
-                    "network traffic:    {:.2} MB",
-                    report.counters.total_network_bytes() as f64 / 1e6
-                );
-                println!("cluster memory:     {:.2} MB", report.total_memory() as f64 / 1e6);
-                if report.any_oom() {
-                    println!("WARNING: machines {:?} exceed installed memory", report.oom_machines);
-                }
-            }
+    let mut out = String::new();
+    let result = simulate_into(&cmd, &mut out);
+    print!("{out}");
+    result
+}
+
+/// `gnnpart simulate`, writing its report to `out`.
+fn simulate_into(cmd: &SimulateCmd, out: &mut String) -> CmdResult {
+    struct Simulate<'a>(&'a SimulateCmd, &'a mut String);
+    impl Body for Simulate<'_> {
+        fn run<F: System>(self, family: &F) -> CmdResult {
+            let Simulate(cmd, out) = self;
+            let policy = mitigation(&cmd.mitigate)?;
+            let partition = partition_of(family, cmd)?;
+            family.simulate(cmd, &partition, policy, out)
         }
-        "distdgl" => {
-            let p = registry::vertex_partitioner(&cmd.algo, None)
-                .ok_or_else(|| format!("{:?} is not a vertex partitioner", cmd.algo))?;
-            let part = p.partition_vertices(&graph, cmd.k, 42)?;
-            let split = VertexSplit::paper_default(graph.num_vertices(), 42)?;
-            let config = DistDglConfig::paper(model, ClusterSpec::paper(cmd.k));
-            let engine = DistDglEngine::builder(&graph, &part, &split)
-                .config(config)
-                .threads(cmd.engine_threads)
-                .build()?;
-            println!("DistDGL (mini-batch) on {} machines with {}", cmd.k, p.name());
-            println!("edge-cut ratio:  {:.4}", part.edge_cut_ratio());
-            if cmd.faults {
-                let plan = fault_plan(&cmd);
-                let mut recovery = RecoveryReport::default();
-                let mut mitigation = MitigationReport::default();
-                let spec = RunSpec::healthy().epochs(cmd.epochs).faults(plan);
-                let (epochs, aborted) = if policy.is_none() {
-                    let (faulty, err) = engine.run(&spec)?.into_faulty();
-                    let lifted = faulty
-                        .into_iter()
-                        .map(|r| gp_distdgl::MitigatedEpochSummary {
-                            summary: r.summary,
-                            recovery: r.recovery,
-                            mitigation: MitigationReport::default(),
-                            failed_workers: r.failed_workers,
-                        })
-                        .collect::<Vec<_>>();
-                    (lifted, err)
-                } else {
-                    engine.run(&spec.mitigate(policy))?.into_mitigated()
-                };
-                let mut total = 0.0;
-                for (epoch, r) in epochs.iter().enumerate() {
-                    total += r.summary.epoch_time();
-                    recovery.merge(&r.recovery);
-                    mitigation.merge(&r.mitigation);
-                    let note = if r.failed_workers.is_empty() {
-                        String::new()
-                    } else {
-                        format!("  (workers down: {:?})", r.failed_workers)
-                    };
-                    println!(
-                        "epoch {epoch:>3}: {:>10.3} ms, {} steps{note}",
-                        r.summary.epoch_time() * 1e3,
-                        r.summary.steps
-                    );
-                }
-                if let Some(e) = aborted {
-                    println!("epoch {:>3}: training aborted: {e}", epochs.len());
-                }
-                print_recovery(total, &recovery);
-                if !policy.is_none() {
-                    print_mitigation(&cmd.mitigate, &mitigation);
-                }
-            } else {
-                let summary = engine.run(&RunSpec::healthy())?.into_healthy().remove(0);
-                println!("steps/epoch:     {}", summary.steps);
-                println!("epoch time:      {:.3} ms", summary.epoch_time() * 1e3);
-                println!("  sampling:      {:.3} ms", summary.phases.sampling * 1e3);
-                println!("  feature load:  {:.3} ms", summary.phases.feature_load * 1e3);
-                println!("  forward:       {:.3} ms", summary.phases.forward * 1e3);
-                println!("  backward:      {:.3} ms", summary.phases.backward * 1e3);
-                println!(
-                    "remote vertices: {} / {}",
-                    summary.total_remote_vertices, summary.total_input_vertices
-                );
-                println!(
-                    "network traffic: {:.2} MB",
-                    summary.counters.total_network_bytes() as f64 / 1e6
-                );
-            }
-        }
-        other => return Err(format!("unknown system {other:?} (distgnn|distdgl)").into()),
+    }
+    on_input(cmd, Simulate(cmd, out))
+}
+
+/// One epoch of a `gnnpart simulate` fault run.
+struct FaultEpoch {
+    seconds: f64,
+    recovery: RecoveryReport,
+    mitigation: MitigationReport,
+    /// What the epoch's line prints after its time.
+    note: String,
+}
+
+/// A `gnnpart simulate` fault run: one line per epoch, the abort, then
+/// the recovery (and, when mitigated, the mitigation) totals.
+fn write_fault_run(
+    out: &mut String,
+    cmd: &SimulateCmd,
+    policy: MitigationPolicy,
+    epochs: &[FaultEpoch],
+    aborted: Option<impl Display>,
+) -> CmdResult {
+    let mut total = 0.0;
+    let mut r = RecoveryReport::default();
+    let mut m = MitigationReport::default();
+    for (epoch, e) in epochs.iter().enumerate() {
+        total += e.seconds;
+        r.merge(&e.recovery);
+        m.merge(&e.mitigation);
+        writeln!(out, "epoch {epoch:>3}: {:>10.3} ms{}", e.seconds * 1e3, e.note)?;
+    }
+    if let Some(e) = aborted {
+        writeln!(out, "epoch {:>3}: training aborted: {e}", epochs.len())?;
+    }
+    writeln!(out, "epoch time sum:     {:.3} ms", total * 1e3)?;
+    writeln!(out, "recovery overhead:  {:.3} ms", r.total_overhead_seconds() * 1e3)?;
+    writeln!(out, "  crashes:          {}", r.crashes)?;
+    writeln!(out, "  retries:          {} ({:.3} ms wait)", r.retries, r.retry_seconds * 1e3)?;
+    writeln!(
+        out,
+        "  re-executed:      {} steps, {:.3} epochs of lost progress",
+        r.reexecuted_steps, r.lost_progress_epochs
+    )?;
+    writeln!(out, "  checkpoints:      {} ({:.3} ms)", r.checkpoints, r.checkpoint_seconds * 1e3)?;
+    writeln!(
+        out,
+        "  restores:         {:.3} ms, {:.2} MB recovery traffic",
+        r.restore_seconds * 1e3,
+        r.recovery_bytes as f64 / 1e6
+    )?;
+    writeln!(out, "  redistributed:    {} training vertices", r.redistributed_train_vertices)?;
+    if !policy.is_none() {
+        writeln!(out, "mitigation ({}):  {:.3} ms saved", cmd.mitigate, m.time_saved_secs * 1e3)?;
+        writeln!(
+            out,
+            "  stolen:           {} steps, {:.2} MB re-fetched",
+            m.stolen_steps,
+            m.stolen_bytes as f64 / 1e6
+        )?;
+        writeln!(
+            out,
+            "  speculated:       {} steps ({} won, {:.3} ms wasted)",
+            m.speculated_steps,
+            m.speculation_wins,
+            m.speculation_wasted_secs * 1e3
+        )?;
+        writeln!(out, "  sync changes:     {}", m.sync_period_changes)?;
+        writeln!(
+            out,
+            "  masters moved:    {} ({:.2} MB, {:.3} ms)",
+            m.masters_migrated,
+            m.migration_bytes as f64 / 1e6,
+            m.migration_seconds * 1e3
+        )?;
     }
     Ok(())
 }
@@ -290,87 +437,35 @@ pub fn simulate(cmd: SimulateCmd) -> CmdResult {
 /// purely observational, so the traced run is bit-identical to the
 /// untraced one.
 pub fn trace(cmd: &TraceCmd) -> CmdResult {
-    let sim = &cmd.sim;
-    let graph = load(&sim.input, sim.directed)?;
-    let kind = ModelKind::parse(&sim.model)
-        .ok_or_else(|| format!("unknown model {:?} (sage|gcn|gat)", sim.model))?;
-    let policy = MitigationPolicy::parse(&sim.mitigate).ok_or_else(|| {
-        format!("unknown mitigation mode {:?} (none|steal|speculate|adaptive|all)", sim.mitigate)
-    })?;
-    let model = ModelConfig {
-        kind,
-        feature_dim: sim.features,
-        hidden_dim: sim.hidden,
-        num_layers: sim.layers,
-        num_classes: 16,
-        seed: 0,
-    };
-    let plan = if sim.faults { fault_plan(sim) } else { FaultPlan::empty() };
-    let sink = TraceSink::enabled();
-    match sim.system.as_str() {
-        "distgnn" => {
-            let p = registry::edge_partitioner(&sim.algo)
-                .ok_or_else(|| format!("{:?} is not an edge partitioner", sim.algo))?;
-            let part = p.partition_edges(&graph, sim.k, 42)?;
-            let mut config = DistGnnConfig::paper(model, ClusterSpec::paper(sim.k));
-            config.checkpoint_every = sim.checkpoint_every;
-            let engine = DistGnnEngine::builder(&graph, &part)
-                .config(config)
-                .trace(sink.clone())
-                .threads(sim.engine_threads)
-                .build()?;
-            println!("tracing DistGNN on {} machines with {}", sim.k, p.name());
-            let spec = RunSpec::healthy().epochs(sim.epochs).faults(plan);
-            let (completed, aborted) = if policy.is_none() {
-                let (epochs, err) = engine.run(&spec)?.into_faulty();
-                (epochs.len(), err.map(|e| e.to_string()))
-            } else {
-                let (epochs, err) = engine.run(&spec.mitigate(policy))?.into_mitigated();
-                (epochs.len(), err.map(|e| e.to_string()))
-            };
-            if let Some(e) = aborted {
-                println!("epoch {completed:>3}: training aborted: {e}");
-            }
+    on_input(&cmd.sim, cmd)
+}
+
+impl Body for &TraceCmd {
+    fn run<F: System>(self, family: &F) -> CmdResult {
+        let sim = &self.sim;
+        let policy = mitigation(&sim.mitigate)?;
+        let partition = partition_of(family, sim)?;
+        let sink = TraceSink::enabled();
+        let engine = family.engine(&partition, sim.engine_threads, sink.clone())?;
+        println!("tracing {} on {} machines with {}", F::LABEL, sim.k, sim.algo);
+        let (epochs, aborted) = fault_epochs(engine.run(&fault_spec(sim, policy))?, |e| e, |e| e);
+        if let Some(e) = aborted {
+            println!("epoch {:>3}: training aborted: {e}", epochs.len());
         }
-        "distdgl" => {
-            let p = registry::vertex_partitioner(&sim.algo, None)
-                .ok_or_else(|| format!("{:?} is not a vertex partitioner", sim.algo))?;
-            let part = p.partition_vertices(&graph, sim.k, 42)?;
-            let split = VertexSplit::paper_default(graph.num_vertices(), 42)?;
-            let config = DistDglConfig::paper(model, ClusterSpec::paper(sim.k));
-            let engine = DistDglEngine::builder(&graph, &part, &split)
-                .config(config)
-                .trace(sink.clone())
-                .threads(sim.engine_threads)
-                .build()?;
-            println!("tracing DistDGL on {} machines with {}", sim.k, p.name());
-            let spec = RunSpec::healthy().epochs(sim.epochs).faults(plan);
-            let (completed, aborted) = if policy.is_none() {
-                let (epochs, err) = engine.run(&spec)?.into_faulty();
-                (epochs.len(), err.map(|e| e.to_string()))
-            } else {
-                let (epochs, err) = engine.run(&spec.mitigate(policy))?.into_mitigated();
-                (epochs.len(), err.map(|e| e.to_string()))
-            };
-            if let Some(e) = aborted {
-                println!("epoch {completed:>3}: training aborted: {e}");
-            }
+        std::fs::write(&self.trace_out, sink.to_chrome_json())?;
+        println!(
+            "trace: {} spans, {} counter samples over {:.3} simulated ms",
+            sink.spans().len(),
+            sink.counters().len(),
+            sink.now() * 1e3
+        );
+        println!("chrome trace -> {} (load in chrome://tracing)", self.trace_out.display());
+        if let Some(csv) = &self.phase_csv {
+            std::fs::write(csv, sink.phase_csv())?;
+            println!("phase CSV    -> {}", csv.display());
         }
-        other => return Err(format!("unknown system {other:?} (distgnn|distdgl)").into()),
+        Ok(())
     }
-    std::fs::write(&cmd.trace_out, sink.to_chrome_json())?;
-    println!(
-        "trace: {} spans, {} counter samples over {:.3} simulated ms",
-        sink.spans().len(),
-        sink.counters().len(),
-        sink.now() * 1e3
-    );
-    println!("chrome trace -> {} (load in chrome://tracing)", cmd.trace_out.display());
-    if let Some(csv) = &cmd.phase_csv {
-        std::fs::write(csv, sink.phase_csv())?;
-        println!("phase CSV    -> {}", csv.display());
-    }
-    Ok(())
 }
 
 /// `gnnpart diagnose`.
@@ -384,72 +479,47 @@ pub fn trace(cmd: &TraceCmd) -> CmdResult {
 /// epoch time) are written out. Both artifacts are deterministic:
 /// repeated runs produce identical bytes.
 pub fn diagnose(cmd: &DiagnoseCmd) -> CmdResult {
-    use gp_core::diagnose::{diagnose_prometheus, diagnose_report, diagnose_run, diagnose_spec};
-    use gp_core::family::{DistDgl, DistGnn};
-    let sim = &cmd.sim;
-    let graph = load(&sim.input, sim.directed)?;
-    let kind = ModelKind::parse(&sim.model)
-        .ok_or_else(|| format!("unknown model {:?} (sage|gcn|gat)", sim.model))?;
-    let policy = MitigationPolicy::parse(&sim.mitigate).ok_or_else(|| {
-        format!("unknown mitigation mode {:?} (none|steal|speculate|adaptive|all)", sim.mitigate)
-    })?;
-    let model = ModelConfig {
-        kind,
-        feature_dim: sim.features,
-        hidden_dim: sim.hidden,
-        num_layers: sim.layers,
-        num_classes: 16,
-        seed: 0,
-    };
-    let plan = sim.faults.then(|| fault_plan(sim));
-    let spec = diagnose_spec(sim.epochs, plan.as_ref(), policy);
-    let diagnosis = match sim.system.as_str() {
-        "distgnn" => {
-            let p = registry::edge_partitioner(&sim.algo)
-                .ok_or_else(|| format!("{:?} is not an edge partitioner", sim.algo))?;
-            let part = p.partition_edges(&graph, sim.k, 42)?;
-            let gnn =
-                DistGnn { checkpoint_every: sim.checkpoint_every, ..DistGnn::new(&graph, model) };
-            println!("diagnosing DistGNN on {} machines with {}", sim.k, p.name());
-            diagnose_run(&gnn, &part, p.name(), &spec, sim.engine_threads)?
+    on_input(&cmd.sim, cmd)
+}
+
+impl Body for &DiagnoseCmd {
+    fn run<F: System>(self, family: &F) -> CmdResult {
+        let sim = &self.sim;
+        let policy = mitigation(&sim.mitigate)?;
+        let partition = partition_of(family, sim)?;
+        let spec = fault_spec(sim, policy);
+        println!("diagnosing {} on {} machines with {}", F::LABEL, sim.k, sim.algo);
+        let runs = [diagnose_run(family, &partition, &sim.algo, &spec, sim.engine_threads)?];
+        let run = &runs[0];
+        println!(
+            "epoch time sum:     {:.3} ms over {} epochs",
+            run.epoch_seconds * 1e3,
+            run.epochs
+        );
+        println!("compute skew:       {:.3}", run.snapshot.compute_skew());
+        println!("comm skew:          {:.3}", run.snapshot.communication_skew());
+        match run.snapshot.load_straggler() {
+            Some(s) => println!(
+                "straggler:          worker {} in {} (+{:.3} ms critical path)",
+                s.worker,
+                s.phase.name(),
+                s.excess_seconds * 1e3
+            ),
+            None => println!("straggler:          none"),
         }
-        "distdgl" => {
-            let p = registry::vertex_partitioner(&sim.algo, None)
-                .ok_or_else(|| format!("{:?} is not a vertex partitioner", sim.algo))?;
-            let part = p.partition_vertices(&graph, sim.k, 42)?;
-            let split = VertexSplit::paper_default(graph.num_vertices(), 42)?;
-            let dgl = DistDgl::new(&graph, &split, model);
-            println!("diagnosing DistDGL on {} machines with {}", sim.k, p.name());
-            diagnose_run(&dgl, &part, p.name(), &spec, sim.engine_threads)?
+        for c in &run.causes {
+            println!("  cause: {:<28} {:.3} ms", c.label, c.seconds * 1e3);
         }
-        other => return Err(format!("unknown system {other:?} (distgnn|distdgl)").into()),
-    };
-    let runs = [diagnosis];
-    let run = &runs[0];
-    println!("epoch time sum:     {:.3} ms over {} epochs", run.epoch_seconds * 1e3, run.epochs);
-    println!("compute skew:       {:.3}", run.snapshot.compute_skew());
-    println!("comm skew:          {:.3}", run.snapshot.communication_skew());
-    match run.snapshot.load_straggler() {
-        Some(s) => println!(
-            "straggler:          worker {} in {} (+{:.3} ms critical path)",
-            s.worker,
-            s.phase.name(),
-            s.excess_seconds * 1e3
-        ),
-        None => println!("straggler:          none"),
+        println!(
+            "exactness:          {} per-worker phase totals equal the engine report (f64 ==)",
+            run.cross_checks
+        );
+        std::fs::write(&self.prom_out, diagnose_prometheus(&runs))?;
+        println!("prometheus  -> {}", self.prom_out.display());
+        std::fs::write(&self.report_out, diagnose_report(F::NAME, &runs))?;
+        println!("run report  -> {}", self.report_out.display());
+        Ok(())
     }
-    for c in &run.causes {
-        println!("  cause: {:<28} {:.3} ms", c.label, c.seconds * 1e3);
-    }
-    println!(
-        "exactness:          {} per-worker phase totals equal the engine report (f64 ==)",
-        run.cross_checks
-    );
-    std::fs::write(&cmd.prom_out, diagnose_prometheus(&runs))?;
-    println!("prometheus  -> {}", cmd.prom_out.display());
-    std::fs::write(&cmd.report_out, diagnose_report(&sim.system, &runs))?;
-    println!("run report  -> {}", cmd.report_out.display());
-    Ok(())
 }
 
 /// `gnnpart chaos`.
@@ -465,115 +535,53 @@ pub fn diagnose(cmd: &DiagnoseCmd) -> CmdResult {
 /// the command return an error (exit 1), so a CI step can gate on it
 /// directly.
 pub fn chaos(cmd: &ChaosCmd) -> CmdResult {
-    use gp_core::chaos::{chaos_bench_json, chaos_soak, chaos_table};
-    use gp_core::config::PaperParams;
-    use gp_core::experiment::{timed_edge_partitions, timed_vertex_partitions};
-    use gp_core::family::{DistDgl, DistGnn};
-    let sim = &cmd.sim;
-    let graph = load(&sim.input, sim.directed)?;
-    let kind = ModelKind::parse(&sim.model)
-        .ok_or_else(|| format!("unknown model {:?} (sage|gcn|gat)", sim.model))?;
-    let params =
-        PaperParams { feature_size: sim.features, hidden_dim: sim.hidden, num_layers: sim.layers };
-    let rows = match sim.system.as_str() {
-        "distgnn" => {
-            let mut timed = timed_edge_partitions(&graph, sim.k, 42, cmd.threads);
-            if sim.algo != "all" {
-                timed.retain(|t| t.name == sim.algo);
-                if timed.is_empty() {
-                    return Err(format!("{:?} is not an edge partitioner", sim.algo).into());
-                }
-            }
-            println!(
-                "chaos: DistGNN, {} machines, {} partitioner(s), {} epochs \
-                 (mtbf {}, checkpoint every {}, seed {})",
-                sim.k,
-                timed.len(),
-                sim.epochs,
-                sim.mtbf,
-                sim.checkpoint_every,
-                sim.fault_seed
-            );
-            chaos_soak(
-                &DistGnn::new(&graph, params.model(ModelKind::Sage)),
-                &timed,
-                sim.epochs,
-                sim.mtbf,
-                sim.checkpoint_every,
-                sim.fault_seed,
-                Parallelism::new(cmd.threads, sim.engine_threads),
-            )
-        }
-        "distdgl" => {
-            let split = VertexSplit::paper_default(graph.num_vertices(), 42)?;
-            let mut timed = timed_vertex_partitions(&graph, sim.k, 42, &split.train, cmd.threads);
-            if sim.algo != "all" {
-                timed.retain(|t| t.name == sim.algo);
-                if timed.is_empty() {
-                    return Err(format!("{:?} is not a vertex partitioner", sim.algo).into());
-                }
-            }
-            println!(
-                "chaos: DistDGL, {} machines, {} partitioner(s), {} epochs \
-                 (mtbf {}, checkpoint every {}, seed {})",
-                sim.k,
-                timed.len(),
-                sim.epochs,
-                sim.mtbf,
-                sim.checkpoint_every,
-                sim.fault_seed
-            );
-            chaos_soak(
-                &DistDgl::new(&graph, &split, params.model(kind)),
-                &timed,
-                sim.epochs,
-                sim.mtbf,
-                sim.checkpoint_every,
-                sim.fault_seed,
-                Parallelism::new(cmd.threads, sim.engine_threads),
-            )
-        }
-        other => return Err(format!("unknown system {other:?} (distgnn|distdgl)").into()),
-    };
-    let table = chaos_table(&format!("chaos_{}", sim.system), &rows);
-    print!("{}", table.to_markdown());
-    for r in rows.iter().filter(|r| !r.holds()) {
-        println!(
-            "FAIL {}: completed {}/{}, deterministic={}, trace_transparent={}, \
-             elastic_never_worse={}, spans_exact={}",
-            r.name,
-            r.completed_epochs,
-            r.epochs,
-            r.deterministic,
-            r.trace_transparent,
-            r.elastic_never_worse,
-            r.spans_exact
+    on_input(&cmd.sim, cmd)
+}
+
+impl Body for &ChaosCmd {
+    fn run<F: System>(self, family: &F) -> CmdResult {
+        let sim = &self.sim;
+        let timed = soak_partitions(family, "chaos", sim, self.threads)?;
+        let par = Parallelism::new(self.threads, sim.engine_threads);
+        let rows = chaos_soak(
+            family,
+            &timed,
+            sim.epochs,
+            sim.mtbf,
+            sim.checkpoint_every,
+            sim.fault_seed,
+            par,
         );
+        let red = rows.iter().filter(|r| !r.holds());
+        let fails = red.clone().map(|r| {
+            format!(
+                "{}: completed {}/{}, deterministic={}, trace_transparent={}, \
+                 elastic_never_worse={}, spans_exact={}",
+                r.name,
+                r.completed_epochs,
+                r.epochs,
+                r.deterministic,
+                r.trace_transparent,
+                r.elastic_never_worse,
+                r.spans_exact
+            )
+        });
+        let (distgnn, distdgl) = F::sections(&rows);
+        emit_rows(
+            "chaos",
+            &chaos_table(&format!("chaos_{}", F::NAME), &rows),
+            fails,
+            self.csv_out.as_deref(),
+            self.bench_out.as_deref(),
+            || chaos_bench_json(distgnn, distdgl),
+        )?;
+        verdict(
+            red.count(),
+            rows.len(),
+            "chaos rows violated the elastic contract",
+            "bit-identical reruns, exact span sums, elastic never worse than crash-only recovery",
+        )
     }
-    if let Some(csv) = &cmd.csv_out {
-        std::fs::write(csv, table.to_csv())?;
-        println!("chaos CSV  -> {}", csv.display());
-    }
-    if let Some(bench) = &cmd.bench_out {
-        let json = match sim.system.as_str() {
-            "distgnn" => chaos_bench_json(&rows, &[]),
-            _ => chaos_bench_json(&[], &rows),
-        };
-        std::fs::write(bench, json)?;
-        println!("chaos JSON -> {}", bench.display());
-    }
-    let failed = rows.iter().filter(|r| !r.holds()).count();
-    if failed > 0 {
-        return Err(
-            format!("{failed} of {} chaos rows violated the elastic contract", rows.len()).into()
-        );
-    }
-    println!(
-        "all {} rows green: bit-identical reruns, exact span sums, \
-         elastic never worse than crash-only recovery",
-        rows.len()
-    );
-    Ok(())
 }
 
 /// `gnnpart netchaos`.
@@ -590,161 +598,82 @@ pub fn chaos(cmd: &ChaosCmd) -> CmdResult {
 /// is rejected before any cell runs. Any red invariant makes the
 /// command return an error (exit 1).
 pub fn netchaos(cmd: &NetChaosCmd) -> CmdResult {
-    use gp_cluster::{
-        validate_fault_churn, CheckpointConfig, ChurnPlan, ElasticOptions, MetricsSnapshot,
-        NetFaultPlan, NetRunOptions,
-    };
-    use gp_core::chaos::chaos_churn_spec;
-    use gp_core::config::PaperParams;
-    use gp_core::experiment::{timed_edge_partitions, timed_vertex_partitions};
-    use gp_core::family::{DistDgl, DistGnn};
-    use gp_core::netchaos::{
-        netchaos_bench_json, netchaos_net_spec, netchaos_soak, netchaos_table,
-    };
-    use gp_core::trace_run::trace_run;
-    let sim = &cmd.sim;
-    let graph = load(&sim.input, sim.directed)?;
-    let kind = ModelKind::parse(&sim.model)
-        .ok_or_else(|| format!("unknown model {:?} (sage|gcn|gat)", sim.model))?;
-    let params =
-        PaperParams { feature_size: sim.features, hidden_dim: sim.hidden, num_layers: sim.layers };
-    // Reject a crash schedule that would drain the fleet below the
-    // churn floor before any (expensive) soak cell runs: the soak
-    // would only report zero-completed rows, and the composition error
-    // is the actionable message.
-    let churn_spec = chaos_churn_spec(sim.k, sim.epochs, sim.fault_seed);
-    let faults =
-        FaultPlan::generate(&FaultSpec::standard(sim.k, sim.epochs, sim.mtbf, sim.fault_seed));
-    let churn = ChurnPlan::generate(&churn_spec);
-    validate_fault_churn(&faults, &churn, churn_spec.min_live)
-        .map_err(|e| format!("invalid fault/churn composition: {e}"))?;
-    let net = NetFaultPlan::generate(&netchaos_net_spec(sim.k, sim.epochs, sim.fault_seed));
-    let spec = RunSpec::healthy()
-        .epochs(sim.epochs)
-        .faults(faults)
-        .elastic(churn, CheckpointConfig::periodic(sim.checkpoint_every), ElasticOptions::default())
-        .net(net, NetRunOptions::default());
-    let (rows, traced) = match sim.system.as_str() {
-        "distgnn" => {
-            let mut timed = timed_edge_partitions(&graph, sim.k, 42, cmd.threads);
-            if sim.algo != "all" {
-                timed.retain(|t| t.name == sim.algo);
-                if timed.is_empty() {
-                    return Err(format!("{:?} is not an edge partitioner", sim.algo).into());
-                }
-            }
-            println!(
-                "netchaos: DistGNN, {} machines, {} partitioner(s), {} epochs \
-                 (mtbf {}, checkpoint every {}, seed {})",
-                sim.k,
-                timed.len(),
-                sim.epochs,
-                sim.mtbf,
-                sim.checkpoint_every,
-                sim.fault_seed
-            );
-            let gnn = DistGnn::new(&graph, params.model(ModelKind::Sage));
-            let rows = netchaos_soak(
-                &gnn,
-                &timed,
-                sim.epochs,
-                sim.mtbf,
-                sim.checkpoint_every,
-                sim.fault_seed,
-                Parallelism::new(cmd.threads, sim.engine_threads),
-            );
-            // One extra traced partitioned run of the roster's first
-            // partitioner feeds the Prometheus exposition: the soak's
-            // own sinks stay internal to its verdicts.
-            let traced = match cmd.prom_out {
-                Some(_) => Some(trace_run(&gnn, &timed[0].partition, &spec, sim.engine_threads)?),
-                None => None,
-            };
-            (rows, traced)
-        }
-        "distdgl" => {
-            let split = VertexSplit::paper_default(graph.num_vertices(), 42)?;
-            let mut timed = timed_vertex_partitions(&graph, sim.k, 42, &split.train, cmd.threads);
-            if sim.algo != "all" {
-                timed.retain(|t| t.name == sim.algo);
-                if timed.is_empty() {
-                    return Err(format!("{:?} is not a vertex partitioner", sim.algo).into());
-                }
-            }
-            println!(
-                "netchaos: DistDGL, {} machines, {} partitioner(s), {} epochs \
-                 (mtbf {}, checkpoint every {}, seed {})",
-                sim.k,
-                timed.len(),
-                sim.epochs,
-                sim.mtbf,
-                sim.checkpoint_every,
-                sim.fault_seed
-            );
-            let dgl = DistDgl::new(&graph, &split, params.model(kind));
-            let rows = netchaos_soak(
-                &dgl,
-                &timed,
-                sim.epochs,
-                sim.mtbf,
-                sim.checkpoint_every,
-                sim.fault_seed,
-                Parallelism::new(cmd.threads, sim.engine_threads),
-            );
-            let traced = match cmd.prom_out {
-                Some(_) => Some(trace_run(&dgl, &timed[0].partition, &spec, sim.engine_threads)?),
-                None => None,
-            };
-            (rows, traced)
-        }
-        other => return Err(format!("unknown system {other:?} (distgnn|distdgl)").into()),
-    };
-    let table = netchaos_table(&format!("netchaos_{}", sim.system), &rows);
-    print!("{}", table.to_markdown());
-    for r in rows.iter().filter(|r| !r.holds()) {
-        println!(
-            "FAIL {}: completed {}/{}, deterministic={}, trace_transparent={}, \
-             degraded_never_worse={}, exactly_once={}, spans_exact={}",
-            r.name,
-            r.completed_epochs,
-            r.epochs,
-            r.deterministic,
-            r.trace_transparent,
-            r.degraded_never_worse,
-            r.exactly_once,
-            r.spans_exact
+    on_input(&cmd.sim, cmd)
+}
+
+impl Body for &NetChaosCmd {
+    fn run<F: System>(self, family: &F) -> CmdResult {
+        let sim = &self.sim;
+        // Reject a crash schedule that would drain the fleet below the
+        // churn floor before any (expensive) soak cell runs: the soak
+        // would only report zero-completed rows, and the composition
+        // error is the actionable message.
+        let churn_spec = chaos_churn_spec(sim.k, sim.epochs, sim.fault_seed);
+        let faults = fault_plan(sim);
+        let churn = ChurnPlan::generate(&churn_spec);
+        validate_fault_churn(&faults, &churn, churn_spec.min_live)
+            .map_err(|e| format!("invalid fault/churn composition: {e}"))?;
+        let net = NetFaultPlan::generate(&netchaos_net_spec(sim.k, sim.epochs, sim.fault_seed));
+        let checkpoints = CheckpointConfig::periodic(sim.checkpoint_every);
+        let spec = RunSpec::healthy()
+            .epochs(sim.epochs)
+            .faults(faults)
+            .elastic(churn, checkpoints, ElasticOptions::default())
+            .net(net, NetRunOptions::default());
+        let timed = soak_partitions(family, "netchaos", sim, self.threads)?;
+        let par = Parallelism::new(self.threads, sim.engine_threads);
+        let rows = netchaos_soak(
+            family,
+            &timed,
+            sim.epochs,
+            sim.mtbf,
+            sim.checkpoint_every,
+            sim.fault_seed,
+            par,
         );
-    }
-    if let Some(csv) = &cmd.csv_out {
-        std::fs::write(csv, table.to_csv())?;
-        println!("netchaos CSV  -> {}", csv.display());
-    }
-    if let Some(bench) = &cmd.bench_out {
-        let json = match sim.system.as_str() {
-            "distgnn" => netchaos_bench_json(&rows, &[]),
-            _ => netchaos_bench_json(&[], &rows),
+        // One extra traced partitioned run of the roster's first
+        // partitioner feeds the Prometheus exposition: the soak's own
+        // sinks stay internal to its verdicts.
+        let traced = match self.prom_out {
+            Some(_) => Some(trace_run(family, &timed[0].partition, &spec, sim.engine_threads)?),
+            None => None,
         };
-        std::fs::write(bench, json)?;
-        println!("netchaos JSON -> {}", bench.display());
-    }
-    if let (Some(path), Some(sink)) = (&cmd.prom_out, &traced) {
-        std::fs::write(path, MetricsSnapshot::from_sink(sink).to_prometheus())?;
-        println!("netchaos prom -> {}", path.display());
-    }
-    let failed = rows.iter().filter(|r| !r.holds()).count();
-    if failed > 0 {
-        return Err(format!(
-            "{failed} of {} netchaos rows violated the network fault contract",
-            rows.len()
+        let red = rows.iter().filter(|r| !r.holds());
+        let fails = red.clone().map(|r| {
+            format!(
+                "{}: completed {}/{}, deterministic={}, trace_transparent={}, \
+                 degraded_never_worse={}, exactly_once={}, spans_exact={}",
+                r.name,
+                r.completed_epochs,
+                r.epochs,
+                r.deterministic,
+                r.trace_transparent,
+                r.degraded_never_worse,
+                r.exactly_once,
+                r.spans_exact
+            )
+        });
+        let (distgnn, distdgl) = F::sections(&rows);
+        emit_rows(
+            "netchaos",
+            &netchaos_table(&format!("netchaos_{}", F::NAME), &rows),
+            fails,
+            self.csv_out.as_deref(),
+            self.bench_out.as_deref(),
+            || netchaos_bench_json(distgnn, distdgl),
+        )?;
+        if let (Some(path), Some(sink)) = (&self.prom_out, &traced) {
+            std::fs::write(path, MetricsSnapshot::from_sink(sink).to_prometheus())?;
+            println!("netchaos prom -> {}", path.display());
+        }
+        verdict(
+            red.count(),
+            rows.len(),
+            "netchaos rows violated the network fault contract",
+            "bit-identical reruns, exactly-once delivery, \
+             degraded mode never worse than abort-and-recover",
         )
-        .into());
     }
-    println!(
-        "all {} rows green: bit-identical reruns, exactly-once delivery, \
-         degraded mode never worse than abort-and-recover",
-        rows.len()
-    );
-    Ok(())
 }
 
 /// `gnnpart stream`.
@@ -762,116 +691,116 @@ pub fn netchaos(cmd: &NetChaosCmd) -> CmdResult {
 /// red invariant makes the command return an error (exit 1), so a CI
 /// step can gate on it directly.
 pub fn stream(cmd: &StreamCmd) -> CmdResult {
-    use gp_core::config::PaperParams;
-    use gp_core::family::{DistDgl, DistGnn};
-    use gp_core::stream_sweep::{stream_bench_json, stream_policies, stream_sweep, stream_table};
-    use gp_graph::StreamSpec;
-    let sim = &cmd.sim;
-    let graph = load(&sim.input, sim.directed)?;
-    let kind = ModelKind::parse(&sim.model)
-        .ok_or_else(|| format!("unknown model {:?} (sage|gcn|gat)", sim.model))?;
-    let params =
-        PaperParams { feature_size: sim.features, hidden_dim: sim.hidden, num_layers: sim.layers };
-    let spec = StreamSpec::paper_default(cmd.batches, cmd.stream_seed);
-    let policies = stream_policies();
-    let rows = match sim.system.as_str() {
-        "distgnn" => {
-            let names: Vec<&str> = registry::edge_partitioner_names()
-                .iter()
-                .copied()
-                .filter(|n| sim.algo == "all" || *n == sim.algo)
-                .collect();
-            if names.is_empty() {
-                return Err(format!("{:?} is not an edge partitioner", sim.algo).into());
-            }
-            println!(
-                "stream: DistGNN, {} machines, {} partitioner(s) x {} policies, \
-                 {} batches (stream seed {})",
-                sim.k,
-                names.len(),
-                policies.len(),
-                cmd.batches,
-                cmd.stream_seed
-            );
-            stream_sweep(
-                &DistGnn::new(&graph, params.model(ModelKind::Sage)),
-                &names,
-                sim.k,
-                &spec,
-                &policies,
-                42,
-                Parallelism::new(cmd.threads, sim.engine_threads),
-            )
-        }
-        "distdgl" => {
-            let split = VertexSplit::paper_default(graph.num_vertices(), 42)?;
-            let names: Vec<&str> = registry::vertex_partitioner_names()
-                .iter()
-                .copied()
-                .filter(|n| sim.algo == "all" || *n == sim.algo)
-                .collect();
-            if names.is_empty() {
-                return Err(format!("{:?} is not a vertex partitioner", sim.algo).into());
-            }
-            println!(
-                "stream: DistDGL, {} machines, {} partitioner(s) x {} policies, \
-                 {} batches (stream seed {})",
-                sim.k,
-                names.len(),
-                policies.len(),
-                cmd.batches,
-                cmd.stream_seed
-            );
-            stream_sweep(
-                &DistDgl::new(&graph, &split, params.model(kind)),
-                &names,
-                sim.k,
-                &spec,
-                &policies,
-                42,
-                Parallelism::new(cmd.threads, sim.engine_threads),
-            )
-        }
-        other => return Err(format!("unknown system {other:?} (distgnn|distdgl)").into()),
-    };
-    let table = stream_table(&format!("stream_{}", sim.system), &rows);
-    print!("{}", table.to_markdown());
-    for r in rows.iter().filter(|r| !r.holds()) {
+    on_input(&cmd.sim, cmd)
+}
+
+impl Body for &StreamCmd {
+    fn run<F: System>(self, family: &F) -> CmdResult {
+        let sim = &self.sim;
+        let spec = StreamSpec::paper_default(self.batches, self.stream_seed);
+        let policies = stream_policies();
+        let names = roster::<F>(&sim.algo)?;
         println!(
-            "FAIL {}/{}: completed {}/{}, deterministic={}, trace_transparent={}, \
-             never_worse={}",
-            r.name,
-            r.policy,
-            r.completed_batches,
-            r.batches,
-            r.deterministic,
-            r.trace_transparent,
-            r.never_worse
+            "stream: {}, {} machines, {} partitioner(s) x {} policies, \
+             {} batches (stream seed {})",
+            F::LABEL,
+            sim.k,
+            names.len(),
+            policies.len(),
+            self.batches,
+            self.stream_seed
         );
+        let par = Parallelism::new(self.threads, sim.engine_threads);
+        let rows = stream_sweep(family, &names, sim.k, &spec, &policies, 42, par);
+        let red = rows.iter().filter(|r| !r.holds());
+        let fails = red.clone().map(|r| {
+            format!(
+                "{}/{}: completed {}/{}, deterministic={}, trace_transparent={}, never_worse={}",
+                r.name,
+                r.policy,
+                r.completed_batches,
+                r.batches,
+                r.deterministic,
+                r.trace_transparent,
+                r.never_worse
+            )
+        });
+        let (distgnn, distdgl) = F::sections(&rows);
+        emit_rows(
+            "stream",
+            &stream_table(&format!("stream_{}", F::NAME), &rows),
+            fails,
+            self.csv_out.as_deref(),
+            self.bench_out.as_deref(),
+            || stream_bench_json(distgnn, distdgl),
+        )?;
+        verdict(
+            red.count(),
+            rows.len(),
+            "stream rows violated the stream contract",
+            "bit-identical reruns, traced == untraced, \
+             no adopted repartition regressed on quality or epoch time",
+        )
     }
-    if let Some(csv) = &cmd.csv_out {
-        std::fs::write(csv, table.to_csv())?;
-        println!("stream CSV  -> {}", csv.display());
-    }
-    if let Some(bench) = &cmd.bench_out {
-        let json = match sim.system.as_str() {
-            "distgnn" => stream_bench_json(&rows, &[]),
-            _ => stream_bench_json(&[], &rows),
-        };
-        std::fs::write(bench, json)?;
-        println!("stream JSON -> {}", bench.display());
-    }
-    let failed = rows.iter().filter(|r| !r.holds()).count();
-    if failed > 0 {
-        return Err(
-            format!("{failed} of {} stream rows violated the stream contract", rows.len()).into()
-        );
-    }
+}
+
+/// The roster partitions `--algo` selects for a soak, timed, after the
+/// soak's header line.
+fn soak_partitions<F: System>(
+    family: &F,
+    soak: &str,
+    sim: &SimulateCmd,
+    threads: Threads,
+) -> Result<Vec<Timed<F::Partition>>, Box<dyn Error>> {
+    let names = roster::<F>(&sim.algo)?;
+    let mut timed = family.timed_partitions(sim.k, 42, threads);
+    timed.retain(|t| names.contains(&t.name.as_str()));
     println!(
-        "all {} rows green: bit-identical reruns, traced == untraced, \
-         no adopted repartition regressed on quality or epoch time",
-        rows.len()
+        "{soak}: {}, {} machines, {} partitioner(s), {} epochs \
+         (mtbf {}, checkpoint every {}, seed {})",
+        F::LABEL,
+        sim.k,
+        timed.len(),
+        sim.epochs,
+        sim.mtbf,
+        sim.checkpoint_every,
+        sim.fault_seed
     );
+    Ok(timed)
+}
+
+/// A sweep's rows on stdout and in the files asked for: the markdown
+/// `table`, a FAIL line per red row, the CSV and the bench JSON.
+fn emit_rows(
+    sweep: &str,
+    table: &Table,
+    fails: impl Iterator<Item = String>,
+    csv_out: Option<&Path>,
+    bench_out: Option<&Path>,
+    bench: impl FnOnce() -> String,
+) -> CmdResult {
+    print!("{}", table.to_markdown());
+    for fail in fails {
+        println!("FAIL {fail}");
+    }
+    if let Some(csv) = csv_out {
+        std::fs::write(csv, table.to_csv())?;
+        println!("{sweep} CSV  -> {}", csv.display());
+    }
+    if let Some(path) = bench_out {
+        std::fs::write(path, bench())?;
+        println!("{sweep} JSON -> {}", path.display());
+    }
+    Ok(())
+}
+
+/// An error when `red` of the `rows` rows broke their contract;
+/// otherwise the line saying what `held`.
+fn verdict(red: usize, rows: usize, violated: &str, held: &str) -> CmdResult {
+    if red > 0 {
+        return Err(format!("{red} of {rows} {violated}").into());
+    }
+    println!("all {rows} rows green: {held}");
     Ok(())
 }
 
@@ -879,94 +808,63 @@ fn fault_plan(cmd: &SimulateCmd) -> FaultPlan {
     FaultPlan::generate(&FaultSpec::standard(cmd.k, cmd.epochs, cmd.mtbf, cmd.fault_seed))
 }
 
-fn print_recovery(total_secs: f64, r: &RecoveryReport) {
-    println!("epoch time sum:     {:.3} ms", total_secs * 1e3);
-    println!("recovery overhead:  {:.3} ms", r.total_overhead_seconds() * 1e3);
-    println!("  crashes:          {}", r.crashes);
-    println!("  retries:          {} ({:.3} ms wait)", r.retries, r.retry_seconds * 1e3);
-    println!(
-        "  re-executed:      {} steps, {:.3} epochs of lost progress",
-        r.reexecuted_steps, r.lost_progress_epochs
-    );
-    println!("  checkpoints:      {} ({:.3} ms)", r.checkpoints, r.checkpoint_seconds * 1e3);
-    println!(
-        "  restores:         {:.3} ms, {:.2} MB recovery traffic",
-        r.restore_seconds * 1e3,
-        r.recovery_bytes as f64 / 1e6
-    );
-    println!("  redistributed:    {} training vertices", r.redistributed_train_vertices);
+/// The run of `simulate`'s, `trace`'s and `diagnose`'s fault path:
+/// `--epochs` epochs under the seeded fault plan (an empty one without
+/// `--faults`), mitigated by `policy` unless it is none.
+fn fault_spec(sim: &SimulateCmd, policy: MitigationPolicy) -> RunSpec {
+    diagnose_spec(sim.epochs, sim.faults.then(|| fault_plan(sim)).as_ref(), policy)
 }
 
-fn print_mitigation(mode: &str, m: &MitigationReport) {
-    println!("mitigation ({mode}):  {:.3} ms saved", m.time_saved_secs * 1e3);
-    println!(
-        "  stolen:           {} steps, {:.2} MB re-fetched",
-        m.stolen_steps,
-        m.stolen_bytes as f64 / 1e6
-    );
-    println!(
-        "  speculated:       {} steps ({} won, {:.3} ms wasted)",
-        m.speculated_steps,
-        m.speculation_wins,
-        m.speculation_wasted_secs * 1e3
-    );
-    println!("  sync changes:     {}", m.sync_period_changes);
-    println!(
-        "  masters moved:    {} ({:.2} MB, {:.3} ms)",
-        m.masters_migrated,
-        m.migration_bytes as f64 / 1e6,
-        m.migration_seconds * 1e3
-    );
+/// The epochs of a fault run's `report`, each mapped by `faulty` or
+/// `mitigated`, and the error that aborted the run.
+fn fault_epochs<H, Fy, M, E, T>(
+    report: RunReport<H, Fy, M, E>,
+    faulty: impl Fn(Fy) -> T,
+    mitigated: impl Fn(M) -> T,
+) -> (Vec<T>, Option<E>) {
+    match report {
+        RunReport::Faulty { epochs, error } => (epochs.into_iter().map(faulty).collect(), error),
+        RunReport::Mitigated { epochs, error } => {
+            (epochs.into_iter().map(mitigated).collect(), error)
+        }
+        _ => unreachable!("a fault spec runs the faulty or the mitigated leg"),
+    }
 }
 
 /// `gnnpart recommend`.
 pub fn recommend(cmd: RecommendCmd) -> CmdResult {
-    use gp_core::advisor;
-    use gp_core::config::PaperParams;
-    use gp_core::family::{DistDgl, DistGnn};
     let graph = load(&cmd.input, cmd.directed)?;
     let params =
         PaperParams { feature_size: cmd.features, hidden_dim: cmd.hidden, num_layers: cmd.layers };
-    let rec = match cmd.system.as_str() {
-        "distgnn" => advisor::recommend_edge_partitioner(
-            &DistGnn::new(&graph, params.model(ModelKind::Sage)),
-            cmd.k,
-            cmd.epochs,
-            cmd.threads,
-        ),
-        "distdgl" => {
-            let split = VertexSplit::paper_default(graph.num_vertices(), 42)?;
-            advisor::recommend_vertex_partitioner(
-                &DistDgl::new(&graph, &split, params.model(ModelKind::Sage)),
-                cmd.k,
-                cmd.epochs,
-                cmd.threads,
-            )
-        }
-        other => return Err(format!("unknown system {other:?} (distgnn|distdgl)").into()),
-    };
-    println!(
-        "Best partitioner for {} epochs of {} training on {} machines: {}",
-        cmd.epochs,
-        cmd.system,
-        cmd.k,
-        rec.best().name
-    );
-    println!(
-        "{:<10} {:>12} {:>12} {:>9} {:>14}",
-        "name", "part time s", "epoch ms", "speedup", "net saving s"
-    );
-    for c in &rec.ranked {
+    on_family(&cmd.system, &graph, params.model(ModelKind::Sage), 0, &cmd)
+}
+
+impl Body for &RecommendCmd {
+    fn run<F: System>(self, family: &F) -> CmdResult {
+        let rec = gp_core::advisor::recommend(family, self.k, self.epochs, self.threads);
         println!(
-            "{:<10} {:>12.4} {:>12.3} {:>9.2} {:>14.3}",
-            c.name,
-            c.partition_seconds,
-            c.epoch_seconds * 1e3,
-            c.speedup,
-            c.net_saving
+            "Best partitioner for {} epochs of {} training on {} machines: {}",
+            self.epochs,
+            F::NAME,
+            self.k,
+            rec.best().name
         );
+        println!(
+            "{:<10} {:>12} {:>12} {:>9} {:>14}",
+            "name", "part time s", "epoch ms", "speedup", "net saving s"
+        );
+        for c in &rec.ranked {
+            println!(
+                "{:<10} {:>12.4} {:>12.3} {:>9.2} {:>14.3}",
+                c.name,
+                c.partition_seconds,
+                c.epoch_seconds * 1e3,
+                c.speedup,
+                c.net_saving
+            );
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// `gnnpart list`.
@@ -1359,6 +1257,90 @@ mod tests {
             threads: gp_exec::Threads::new(2),
         })
         .unwrap();
+        let _ = std::fs::remove_file(el);
+    }
+
+    #[test]
+    fn simulate_partitions_bytegnn_on_the_training_split() {
+        let el = tmp("b.el");
+        generate(GenerateCmd {
+            dataset: "OR".into(),
+            scale: GraphScale::Tiny,
+            out: Some(el.clone()),
+        })
+        .unwrap();
+        let cmd = sim_cmd(&el, "ByteGNN", "distdgl", "sage");
+        let mut out = String::new();
+        simulate_into(&cmd, &mut out).unwrap();
+        let graph = load(&el, false).unwrap();
+        let split = VertexSplit::paper_default(graph.num_vertices(), 42).unwrap();
+        let dgl = DistDgl::new(&graph, &split, model(&cmd).unwrap());
+        let cut = dgl.partition("ByteGNN", 4, 42).unwrap().unwrap().edge_cut_ratio();
+        assert!(out.contains(&format!("edge-cut ratio:  {cut:.4}\n")), "{out}");
+        // Without the split, ByteGNN seeds from its own sample and cuts
+        // differently, so the line above tells the two apart.
+        let unsplit = registry::vertex_partitioner("ByteGNN", None)
+            .unwrap()
+            .partition_vertices(&graph, 4, 42)
+            .unwrap()
+            .edge_cut_ratio();
+        assert_ne!(format!("{cut:.4}"), format!("{unsplit:.4}"));
+        let _ = std::fs::remove_file(el);
+    }
+
+    #[test]
+    fn distgnn_rejects_every_model_but_sage_in_every_command() {
+        let el = tmp("gcn.el");
+        generate(GenerateCmd {
+            dataset: "OR".into(),
+            scale: GraphScale::Tiny,
+            out: Some(el.clone()),
+        })
+        .unwrap();
+        let sim = || sim_cmd(&el, "HDRF", "distgnn", "gcn");
+        let threads = gp_exec::Threads::serial();
+        let results = [
+            ("chaos", chaos(&ChaosCmd { sim: sim(), threads, bench_out: None, csv_out: None })),
+            (
+                "netchaos",
+                netchaos(&NetChaosCmd {
+                    sim: sim(),
+                    threads,
+                    bench_out: None,
+                    csv_out: None,
+                    prom_out: None,
+                }),
+            ),
+            (
+                "stream",
+                stream(&StreamCmd {
+                    sim: sim(),
+                    batches: 2,
+                    stream_seed: 1,
+                    threads,
+                    bench_out: None,
+                    csv_out: None,
+                }),
+            ),
+            ("simulate", simulate(sim())),
+            ("trace", trace(&TraceCmd { sim: sim(), trace_out: tmp("gcn.json"), phase_csv: None })),
+            (
+                "diagnose",
+                diagnose(&DiagnoseCmd {
+                    sim: sim(),
+                    prom_out: tmp("gcn.prom"),
+                    report_out: tmp("gcn.md"),
+                }),
+            ),
+        ];
+        for (name, result) in results {
+            assert_eq!(
+                result.unwrap_err().to_string(),
+                "unsupported model for DistGNN: GCN (only GraphSage)",
+                "{name}"
+            );
+        }
+        assert!(!tmp("gcn.json").exists(), "rejected before anything runs");
         let _ = std::fs::remove_file(el);
     }
 

@@ -20,8 +20,7 @@
 use gp_cluster::{RunSpec, TraceSink};
 use gp_exec::{par_map, Parallelism};
 
-use crate::experiment::{timed_edge_partitions, timed_vertex_partitions, Timed};
-use crate::family::{DistDgl, DistGnn, Family};
+use crate::family::Family;
 
 /// One ranked candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,8 +58,8 @@ impl Recommendation {
     }
 }
 
-/// Recommend an edge partitioner for full-batch training of
-/// `family`'s model on `k` machines over `epochs` epochs.
+/// Recommend a partitioner of `family`'s roster for training its model
+/// on `k` machines over `epochs` epochs.
 ///
 /// Partitioning runs and per-candidate epoch simulations are cells on
 /// the `gp-exec` pool. The simulated epoch times (and thus speedups and
@@ -68,39 +67,14 @@ impl Recommendation {
 /// bit-identical for every `(sweep, engine)` width pair; the measured
 /// `partition_seconds` are wall clock and vary run to run exactly as
 /// they do serially.
-pub fn recommend_edge_partitioner(
-    family: &DistGnn<'_>,
-    k: u32,
-    epochs: u32,
-    par: impl Into<Parallelism>,
-) -> Recommendation {
-    let par = par.into();
-    rank(family, &timed_edge_partitions(family.graph, k, 0xad71, par), epochs, par)
-}
-
-/// Recommend a vertex partitioner for mini-batch training of
-/// `family`'s model on `k` machines over `epochs` epochs; see
-/// [`recommend_edge_partitioner`] for the pool and the determinism
-/// contract.
-pub fn recommend_vertex_partitioner(
-    family: &DistDgl<'_>,
-    k: u32,
-    epochs: u32,
-    par: impl Into<Parallelism>,
-) -> Recommendation {
-    let par = par.into();
-    let timed = timed_vertex_partitions(family.graph, k, 0xad71, &family.split.train, par);
-    rank(family, &timed, epochs, par)
-}
-
-/// Simulate one healthy epoch per timed partition and rank the
-/// candidates by net saving over `epochs` epochs, best first.
-fn rank<F: Family>(
+pub fn recommend<F: Family>(
     family: &F,
-    timed: &[Timed<F::Partition>],
+    k: u32,
     epochs: u32,
-    par: Parallelism,
+    par: impl Into<Parallelism>,
 ) -> Recommendation {
+    let par = par.into();
+    let timed = family.timed_partitions(k, 0xad71, par);
     let epoch_jobs: Vec<_> = timed
         .iter()
         .map(|t| {
@@ -141,6 +115,7 @@ fn candidate(name: &str, seconds: f64, base_epoch: f64, epoch: f64, epochs: u32)
 mod tests {
     use super::*;
     use crate::config::PaperParams;
+    use crate::family::{DistDgl, DistGnn};
     use gp_exec::Threads;
     use gp_graph::{DatasetId, GraphScale, VertexSplit};
     use gp_tensor::ModelKind;
@@ -153,7 +128,7 @@ mod tests {
     fn distgnn_recommendation_beats_random_given_budget() {
         let g = DatasetId::OR.generate(GraphScale::Tiny).unwrap();
         // Full-batch training runs hundreds of epochs (paper Section 4.3).
-        let rec = recommend_edge_partitioner(&gnn(&g), 8, 300, Threads::serial());
+        let rec = recommend(&gnn(&g), 8, 300, Threads::serial());
         assert_eq!(rec.ranked.len(), 6);
         let best = rec.best();
         assert_ne!(best.name, "Random", "with 300 epochs a quality partitioner wins");
@@ -168,7 +143,7 @@ mod tests {
     #[test]
     fn zero_budget_prefers_random() {
         let g = DatasetId::OR.generate(GraphScale::Tiny).unwrap();
-        let rec = recommend_edge_partitioner(&gnn(&g), 8, 0, Threads::serial());
+        let rec = recommend(&gnn(&g), 8, 0, Threads::serial());
         // With no training to amortise against, free partitioning wins.
         assert_eq!(rec.best().name, "Random");
     }
@@ -176,7 +151,7 @@ mod tests {
     #[test]
     fn random_candidate_has_neutral_stats() {
         let g = DatasetId::DI.generate(GraphScale::Tiny).unwrap();
-        let rec = recommend_edge_partitioner(&gnn(&g), 4, 10, Threads::serial());
+        let rec = recommend(&gnn(&g), 4, 10, Threads::serial());
         let random = rec.ranked.iter().find(|c| c.name == "Random").unwrap();
         assert!((random.speedup - 1.0).abs() < 1e-9);
     }
@@ -189,7 +164,7 @@ mod tests {
             global_batch_size: 256,
             ..DistDgl::new(&g, &split, PaperParams::middle().model(ModelKind::Sage))
         };
-        let rec = recommend_vertex_partitioner(&dgl, 4, 500, Threads::serial());
+        let rec = recommend(&dgl, 4, 500, Threads::serial());
         assert_eq!(rec.ranked.len(), 6);
         let best = rec.best();
         assert!(best.net_saving >= 0.0, "budget large enough for some win");

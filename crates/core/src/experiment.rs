@@ -1,14 +1,9 @@
-//! Timed partitioning runs and engine invocations.
+//! Timed partitioning runs.
 
-use gp_cluster::{ClusterSpec, RunSpec};
-use gp_distdgl::{DistDglConfig, DistDglEngine, EpochSummary};
-use gp_distgnn::{DistGnnConfig, DistGnnEngine, EpochReport};
 use gp_exec::{par_map, Parallelism};
-use gp_graph::{Graph, VertexSplit};
+use gp_graph::Graph;
 use gp_partition::{EdgePartition, VertexPartition};
-use gp_tensor::ModelKind;
 
-use crate::config::PaperParams;
 use crate::registry;
 
 /// A partition with its real partitioning wall time.
@@ -92,54 +87,14 @@ pub fn timed_vertex_partitions(
     par_map(par.into().sweep, jobs)
 }
 
-/// Simulate one DistGNN (full-batch GraphSAGE) epoch.
-///
-/// # Panics
-///
-/// Panics on configuration mismatch (callers control both sides).
-pub fn distgnn_epoch(graph: &Graph, partition: &EdgePartition, params: PaperParams) -> EpochReport {
-    let config =
-        DistGnnConfig::paper(params.model(ModelKind::Sage), ClusterSpec::paper(partition.k()));
-    DistGnnEngine::builder(graph, partition)
-        .config(config)
-        .build()
-        .expect("valid config")
-        .run(&RunSpec::healthy())
-        .expect("healthy run")
-        .into_healthy()
-        .remove(0)
-}
-
-/// Simulate one DistDGL epoch with the paper's defaults.
-///
-/// # Panics
-///
-/// Panics on configuration mismatch.
-pub fn distdgl_epoch(
-    graph: &Graph,
-    partition: &VertexPartition,
-    split: &VertexSplit,
-    params: PaperParams,
-    kind: ModelKind,
-    global_batch_size: u32,
-) -> EpochSummary {
-    let mut config = DistDglConfig::paper(params.model(kind), ClusterSpec::paper(partition.k()));
-    config.global_batch_size = global_batch_size;
-    DistDglEngine::builder(graph, partition, split)
-        .config(config)
-        .build()
-        .expect("valid config")
-        .run(&RunSpec::healthy())
-        .expect("healthy run")
-        .into_healthy()
-        .remove(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PaperParams;
+    use crate::family::{DistDgl, DistGnn};
     use gp_exec::Threads;
-    use gp_graph::{DatasetId, GraphScale};
+    use gp_graph::{DatasetId, GraphScale, VertexSplit};
+    use gp_tensor::ModelKind;
 
     #[test]
     fn timed_edge_partitions_cover_all_six() {
@@ -195,17 +150,11 @@ mod tests {
         let g = DatasetId::OR.generate(GraphScale::Tiny).unwrap();
         let split = VertexSplit::paper_default(g.num_vertices(), 1).unwrap();
         let ep = timed_edge_partitions(&g, 4, 1, Threads::serial());
-        let report = distgnn_epoch(&g, &ep[0].partition, crate::config::PaperParams::middle());
+        let model = PaperParams::middle().model(ModelKind::Sage);
+        let report = DistGnn::new(&g, model).healthy_epoch(&ep[0].partition);
         assert!(report.epoch_time() > 0.0);
         let vp = timed_vertex_partitions(&g, 4, 1, &split.train, Threads::serial());
-        let summary = distdgl_epoch(
-            &g,
-            &vp[0].partition,
-            &split,
-            crate::config::PaperParams::middle(),
-            ModelKind::Sage,
-            1024,
-        );
+        let summary = DistDgl::new(&g, &split, model).healthy_epoch(&vp[0].partition);
         assert!(summary.epoch_time() > 0.0);
     }
 }

@@ -6,22 +6,24 @@
 //! diagnosis in gp-core has one cell body for both. A [`Family`] value
 //! owns what differs between them: engine construction, the inputs
 //! only one engine has (DistDGL's split and global batch, DistGNN's
-//! fixed-fleet checkpoint period), the phase order of its reports and
-//! its healthy baseline. The cell drives an [`Engine`] whose reports
-//! carry one epoch type, [`Epoch`], for both engines.
+//! fixed-fleet checkpoint period), the phase order of its reports,
+//! its roster and its healthy baseline. The cell drives an [`Engine`]
+//! whose reports carry one epoch type, [`Epoch`], for both engines;
+//! front ends that read fields only one engine reports use the values'
+//! native engines, which are configured nowhere else.
 
 use gp_cluster::{
     ClusterSpec, EpochOutcome, MitigationReport, RecoveryReport, RunReport, RunSpec, TracePhase,
     TraceSink,
 };
-use gp_distdgl::{DistDglConfig, DistDglEngine, DistDglError};
-use gp_distgnn::{DistGnnConfig, DistGnnEngine, DistGnnError};
-use gp_exec::{par_map_indexed, ExecTiming, Threads};
+use gp_distdgl::{DistDglConfig, DistDglEngine, DistDglError, EpochSummary};
+use gp_distgnn::{DistGnnConfig, DistGnnEngine, DistGnnError, EpochReport};
+use gp_exec::{par_map_indexed, ExecTiming, Parallelism, Threads};
 use gp_graph::{Graph, VertexSplit};
-use gp_partition::{EdgePartition, VertexPartition};
+use gp_partition::{EdgePartition, PartitionError, VertexPartition};
 use gp_tensor::ModelConfig;
 
-use crate::experiment::Timed;
+use crate::experiment::{timed_edge_partitions, timed_vertex_partitions, Timed};
 use crate::registry;
 
 /// One simulated epoch of either engine, reduced to what the sweeps
@@ -57,6 +59,10 @@ impl Epoch {
     }
 }
 
+/// A registry partition: `None` for a name no partitioner of the
+/// family has, else the partitioner's result.
+type Partitioned<P> = Option<Result<P, PartitionError>>;
+
 /// An engine's run report with [`Epoch`] for every epoch-wise variant.
 pub type Run<E> = RunReport<Epoch, Epoch, Epoch, E>;
 
@@ -82,10 +88,14 @@ pub trait Family: Sync {
     /// The partition the engine trains on.
     type Partition: Sync;
     /// The engine's error type.
-    type Error: std::fmt::Debug + Send;
+    type Error: std::error::Error + Send + 'static;
     /// Lower-case engine name, the suffix of the family's profile
     /// scopes (`core.trace.distgnn`, ...).
     const NAME: &'static str;
+    /// Display name of the engine (`DistGNN`, `DistDGL`).
+    const LABEL: &'static str;
+    /// The paper's six partitioners of the family, baseline first.
+    const ROSTER: &'static [&'static str];
     /// Phase order of the engine's [`EpochOutcome::phase_breakdown`].
     const PHASES: &'static [TracePhase];
 
@@ -106,8 +116,18 @@ pub trait Family: Sync {
     ) -> Result<Engine<'a, Self::Error>, Self::Error>;
 
     /// Partition the family's graph with the registry partitioner
-    /// `name`; `None` if the name is unknown or the partitioner fails.
-    fn partition(&self, name: &str, k: u32, seed: u64) -> Option<Self::Partition>;
+    /// `name` (roster or extension); `None` if no partitioner of the
+    /// family has that name.
+    fn partition(&self, name: &str, k: u32, seed: u64) -> Partitioned<Self::Partition>;
+
+    /// Every [`Family::ROSTER`] partition of the family's graph into `k`
+    /// parts, timed and in roster order, as [`timed_edge_partitions`].
+    fn timed_partitions(
+        &self,
+        k: u32,
+        seed: u64,
+        par: impl Into<Parallelism>,
+    ) -> Vec<Timed<Self::Partition>>;
 
     /// Healthy seconds of the first `completed` epochs of an
     /// `epochs`-epoch run on `engine`.
@@ -143,12 +163,41 @@ impl<'g> DistGnn<'g> {
         config.checkpoint_every = self.checkpoint_every;
         config
     }
+
+    /// The engine over `partition` on the paper's cluster of
+    /// `partition.k()` machines, reporting its own epoch types.
+    ///
+    /// # Errors
+    ///
+    /// The engine's construction errors.
+    pub fn native_engine(
+        &self,
+        partition: &'g EdgePartition,
+        threads: Threads,
+        trace: TraceSink,
+    ) -> Result<DistGnnEngine<'g>, DistGnnError> {
+        let builder = DistGnnEngine::builder(self.graph, partition);
+        builder.config(self.config(partition.k())).trace(trace).threads(threads).build()
+    }
+
+    /// One healthy epoch over `partition`, serial and untraced.
+    ///
+    /// # Panics
+    ///
+    /// If the engine cannot be built (a model other than GraphSAGE).
+    pub fn healthy_epoch(&self, partition: &EdgePartition) -> EpochReport {
+        let engine = self.native_engine(partition, Threads::serial(), TraceSink::disabled());
+        let run = engine.expect("valid config").run(&RunSpec::healthy());
+        run.expect("healthy run").into_healthy().remove(0)
+    }
 }
 
 impl Family for DistGnn<'_> {
     type Partition = EdgePartition;
     type Error = DistGnnError;
     const NAME: &'static str = "distgnn";
+    const LABEL: &'static str = "DistGNN";
+    const ROSTER: &'static [&'static str] = &registry::EDGE_PARTITIONERS;
     const PHASES: &'static [TracePhase] =
         &[TracePhase::Forward, TracePhase::Backward, TracePhase::Sync, TracePhase::Optimizer];
 
@@ -162,11 +211,7 @@ impl Family for DistGnn<'_> {
         threads: Threads,
         trace: TraceSink,
     ) -> Result<Engine<'a, DistGnnError>, DistGnnError> {
-        let engine = DistGnnEngine::builder(self.graph, partition)
-            .config(self.config(partition.k()))
-            .trace(trace)
-            .threads(threads)
-            .build()?;
+        let engine = self.native_engine(partition, threads, trace)?;
         Ok(Engine(Box::new(move |spec| {
             Ok(unify(
                 engine.run(spec)?,
@@ -177,8 +222,17 @@ impl Family for DistGnn<'_> {
         })))
     }
 
-    fn partition(&self, name: &str, k: u32, seed: u64) -> Option<EdgePartition> {
-        registry::edge_partitioner(name)?.partition_edges(self.graph, k, seed).ok()
+    fn partition(&self, name: &str, k: u32, seed: u64) -> Partitioned<EdgePartition> {
+        Some(registry::edge_partitioner(name)?.partition_edges(self.graph, k, seed))
+    }
+
+    fn timed_partitions(
+        &self,
+        k: u32,
+        seed: u64,
+        par: impl Into<Parallelism>,
+    ) -> Vec<Timed<EdgePartition>> {
+        timed_edge_partitions(self.graph, k, seed, par)
     }
 
     /// One healthy epoch times the completed count: full-batch epochs
@@ -219,12 +273,41 @@ impl<'g> DistDgl<'g> {
         config.global_batch_size = self.global_batch_size;
         config
     }
+
+    /// The engine over `partition` on the paper's cluster of
+    /// `partition.k()` machines, reporting its own epoch types.
+    ///
+    /// # Errors
+    ///
+    /// The engine's construction errors.
+    pub fn native_engine(
+        &self,
+        partition: &'g VertexPartition,
+        threads: Threads,
+        trace: TraceSink,
+    ) -> Result<DistDglEngine<'g>, DistDglError> {
+        let builder = DistDglEngine::builder(self.graph, partition, self.split);
+        builder.config(self.config(partition.k())).trace(trace).threads(threads).build()
+    }
+
+    /// One healthy epoch over `partition`, serial and untraced.
+    ///
+    /// # Panics
+    ///
+    /// If the engine cannot be built.
+    pub fn healthy_epoch(&self, partition: &VertexPartition) -> EpochSummary {
+        let engine = self.native_engine(partition, Threads::serial(), TraceSink::disabled());
+        let run = engine.expect("valid config").run(&RunSpec::healthy());
+        run.expect("healthy run").into_healthy().remove(0)
+    }
 }
 
 impl Family for DistDgl<'_> {
     type Partition = VertexPartition;
     type Error = DistDglError;
     const NAME: &'static str = "distdgl";
+    const LABEL: &'static str = "DistDGL";
+    const ROSTER: &'static [&'static str] = &registry::VERTEX_PARTITIONERS;
     const PHASES: &'static [TracePhase] = &[
         TracePhase::Sampling,
         TracePhase::FeatureLoad,
@@ -243,11 +326,7 @@ impl Family for DistDgl<'_> {
         threads: Threads,
         trace: TraceSink,
     ) -> Result<Engine<'a, DistDglError>, DistDglError> {
-        let engine = DistDglEngine::builder(self.graph, partition, self.split)
-            .config(self.config(partition.k()))
-            .trace(trace)
-            .threads(threads)
-            .build()?;
+        let engine = self.native_engine(partition, threads, trace)?;
         Ok(Engine(Box::new(move |spec| {
             Ok(unify(
                 engine.run(spec)?,
@@ -258,10 +337,20 @@ impl Family for DistDgl<'_> {
         })))
     }
 
-    fn partition(&self, name: &str, k: u32, seed: u64) -> Option<VertexPartition> {
-        registry::vertex_partitioner(name, Some(self.split.train.clone()))?
-            .partition_vertices(self.graph, k, seed)
-            .ok()
+    fn partition(&self, name: &str, k: u32, seed: u64) -> Partitioned<VertexPartition> {
+        Some(
+            registry::vertex_partitioner(name, Some(self.split.train.clone()))?
+                .partition_vertices(self.graph, k, seed),
+        )
+    }
+
+    fn timed_partitions(
+        &self,
+        k: u32,
+        seed: u64,
+        par: impl Into<Parallelism>,
+    ) -> Vec<Timed<VertexPartition>> {
+        timed_vertex_partitions(self.graph, k, seed, &self.split.train, par)
     }
 
     /// The sum over the completed prefix of an `epochs`-epoch healthy
@@ -383,11 +472,11 @@ mod tests {
         let g = graph();
         let s = split(&g);
         let gnn = DistGnn::new(&g, model());
-        let ep = gnn.partition("HDRF", 4, 1).unwrap();
+        let ep = gnn.partition("HDRF", 4, 1).unwrap().unwrap();
         let phases: Vec<_> = healthy_epoch(&gnn, &ep).phases.iter().map(|(n, _)| *n).collect();
         assert_eq!(phases, names(DistGnn::PHASES));
         let dgl = DistDgl::new(&g, &s, model());
-        let vp = dgl.partition("METIS", 4, 1).unwrap();
+        let vp = dgl.partition("METIS", 4, 1).unwrap().unwrap();
         let phases: Vec<_> = healthy_epoch(&dgl, &vp).phases.iter().map(|(n, _)| *n).collect();
         assert_eq!(phases, names(DistDgl::PHASES));
         assert_eq!(DistGnn::NAME, "distgnn");
@@ -402,7 +491,7 @@ mod tests {
         for name in registry::EDGE_PARTITIONERS {
             let direct =
                 registry::edge_partitioner(name).unwrap().partition_edges(&g, 4, 9).unwrap();
-            let p = gnn.partition(name, 4, 9).unwrap();
+            let p = gnn.partition(name, 4, 9).unwrap().unwrap();
             assert_eq!(DistGnn::machines(&p), 4, "{name}");
             assert_eq!(p, direct, "{name}");
         }
@@ -414,7 +503,7 @@ mod tests {
                 .unwrap()
                 .partition_vertices(&g, 4, 9)
                 .unwrap();
-            let p = dgl.partition(name, 4, 9).unwrap();
+            let p = dgl.partition(name, 4, 9).unwrap().unwrap();
             assert_eq!(DistDgl::machines(&p), 4, "{name}");
             assert_eq!(p, direct, "{name}");
         }
@@ -425,7 +514,7 @@ mod tests {
     fn distgnn_engine_reports_the_engines_own_epochs() {
         let g = graph();
         let gnn = DistGnn::new(&g, model());
-        let p = gnn.partition("HDRF", 4, 1).unwrap();
+        let p = gnn.partition("HDRF", 4, 1).unwrap().unwrap();
         let raw = DistGnnEngine::builder(&g, &p)
             .config(gnn.config(4))
             .build()
@@ -449,7 +538,7 @@ mod tests {
         let g = graph();
         let s = split(&g);
         let dgl = DistDgl { global_batch_size: 256, ..DistDgl::new(&g, &s, model()) };
-        let p = dgl.partition("METIS", 4, 1).unwrap();
+        let p = dgl.partition("METIS", 4, 1).unwrap().unwrap();
         let raw = DistDglEngine::builder(&g, &p, &s)
             .config(dgl.config(4))
             .build()
@@ -471,7 +560,7 @@ mod tests {
     fn distgnn_healthy_seconds_is_one_epoch_times_the_completed_count() {
         let g = graph();
         let gnn = DistGnn::new(&g, model());
-        let p = gnn.partition("HDRF", 4, 1).unwrap();
+        let p = gnn.partition("HDRF", 4, 1).unwrap().unwrap();
         let engine = gnn.engine(&p, Threads::serial(), TraceSink::disabled()).unwrap();
         let one = engine.run(&RunSpec::healthy()).unwrap().into_healthy()[0].seconds;
         for completed in [0, 1, 5, 7] {
@@ -490,7 +579,7 @@ mod tests {
         let g = graph();
         let s = split(&g);
         let dgl = DistDgl { global_batch_size: 256, ..DistDgl::new(&g, &s, model()) };
-        let p = dgl.partition("METIS", 4, 1).unwrap();
+        let p = dgl.partition("METIS", 4, 1).unwrap().unwrap();
         let engine = dgl.engine(&p, Threads::serial(), TraceSink::disabled()).unwrap();
         let run = engine.run(&RunSpec::healthy().epochs(6)).unwrap().into_healthy();
         for completed in [0, 1, 4, 6] {
@@ -498,6 +587,65 @@ mod tests {
             let got = DistDgl::healthy_seconds(&engine, 6, completed as u32);
             assert_eq!(got.to_bits(), want.to_bits(), "{completed}");
         }
+    }
+
+    #[test]
+    fn native_healthy_epochs_equal_the_unified_engines_bit_for_bit() {
+        let g = graph();
+        let s = split(&g);
+        let gnn = DistGnn::new(&g, model());
+        let p = gnn.partition("HDRF", 4, 1).unwrap().unwrap();
+        let native = gnn.healthy_epoch(&p);
+        let unified = healthy_epoch(&gnn, &p);
+        assert_eq!(native.epoch_time().to_bits(), unified.seconds.to_bits());
+        assert_eq!(native.total_bytes(), unified.bytes);
+        for global_batch_size in [256, 1024] {
+            let dgl = DistDgl { global_batch_size, ..DistDgl::new(&g, &s, model()) };
+            let p = dgl.partition("METIS", 4, 1).unwrap().unwrap();
+            let native = dgl.healthy_epoch(&p);
+            let unified = healthy_epoch(&dgl, &p);
+            assert_eq!(
+                native.epoch_time().to_bits(),
+                unified.seconds.to_bits(),
+                "{global_batch_size}"
+            );
+            assert_eq!(native.total_bytes(), unified.bytes, "{global_batch_size}");
+        }
+    }
+
+    #[test]
+    fn timed_partitions_are_the_registry_partitions_in_roster_order() {
+        let g = graph();
+        let s = split(&g);
+        let gnn = DistGnn::new(&g, model());
+        let timed = gnn.timed_partitions(4, 9, Threads::new(2));
+        let names: Vec<_> = timed.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, DistGnn::ROSTER);
+        for t in &timed {
+            assert_eq!(t.partition, gnn.partition(&t.name, 4, 9).unwrap().unwrap(), "{}", t.name);
+        }
+        let dgl = DistDgl::new(&g, &s, model());
+        let timed = dgl.timed_partitions(4, 9, Threads::serial());
+        let names: Vec<_> = timed.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, DistDgl::ROSTER);
+        for t in &timed {
+            assert_eq!(t.partition, dgl.partition(&t.name, 4, 9).unwrap().unwrap(), "{}", t.name);
+        }
+        assert_eq!(DistGnn::ROSTER, registry::EDGE_PARTITIONERS);
+        assert_eq!(DistDgl::ROSTER, registry::VERTEX_PARTITIONERS);
+        assert_eq!((DistGnn::LABEL, DistDgl::LABEL), ("DistGNN", "DistDGL"));
+    }
+
+    #[test]
+    fn partition_reports_a_failing_partitioner_apart_from_an_unknown_name() {
+        let g = graph();
+        let s = split(&g);
+        let gnn = DistGnn::new(&g, model());
+        assert!(matches!(gnn.partition("HDRF", 0, 1), Some(Err(_))), "k = 0 is invalid");
+        assert!(gnn.partition("Greedy", 4, 1).unwrap().is_ok(), "extensions resolve too");
+        let dgl = DistDgl::new(&g, &s, model());
+        assert!(matches!(dgl.partition("METIS", 100, 1), Some(Err(_))), "k = 100 is invalid");
+        assert!(dgl.partition("ReLDG", 4, 1).unwrap().is_ok(), "extensions resolve too");
     }
 
     #[test]

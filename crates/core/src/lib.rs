@@ -6,11 +6,12 @@
 //!   name.
 //! * [`config`] — the hyper-parameter grid of Table 3 and the scale-out
 //!   factors.
-//! * [`experiment`] — timed partitioning runs and engine invocations.
+//! * [`experiment`] — timed partitioning runs.
 //! * [`family`] — the two engine families, DistGNN and DistDGL, behind
-//!   one [`Family`](family::Family) trait: every scenario sweep, trace
-//!   and diagnosis below has one cell body for both engines, and the
-//!   family value carries what differs between them.
+//!   one [`Family`](family::Family) trait: every scenario sweep, trace,
+//!   diagnosis and recommendation below has one body for both engines,
+//!   and the family value, the only place that configures an engine,
+//!   carries what differs between them.
 //! * [`sweep`] — grid sweeps producing speedup/memory distributions.
 //! * [`fault_sweep`] — partitioner × failure-rate robustness sweeps
 //!   under seeded fault injection, plus mitigated-vs-unmitigated
@@ -72,7 +73,7 @@ pub mod trace_run;
 
 /// Convenience prelude.
 pub mod prelude {
-    pub use crate::advisor::{recommend_edge_partitioner, recommend_vertex_partitioner};
+    pub use crate::advisor::recommend;
     pub use crate::amortize::epochs_to_amortize;
     pub use crate::chaos::{chaos_bench_json, chaos_churn_spec, chaos_soak, chaos_table, ChaosRow};
     pub use crate::config::{PaperParams, ParamGrid, SCALE_OUT_FACTORS};

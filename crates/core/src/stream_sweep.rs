@@ -226,7 +226,7 @@ fn stream_cell<F: Family>(
     threads: Threads,
 ) -> Vec<StreamSweepRow> {
     let failed = |p: &RepartitionPolicy| StreamSweepRow::failed(name, p.label(), spec.batches);
-    let Some(part) = family.partition(name, k, partition_seed) else {
+    let Some(Ok(part)) = family.partition(name, k, partition_seed) else {
         return policies.iter().map(failed).collect();
     };
     let engine = family.engine(&part, threads, TraceSink::disabled()).expect("valid config");

@@ -4,19 +4,18 @@
 //! work-stealing pool. Each job is a pure function of its inputs and
 //! writes into an index-addressed slot, so the outcome vector is
 //! **bit-identical for every `(sweep, engine)` width pair**
-//! (`Threads::serial()` is the conformance oracle). The two grids keep
-//! separate bodies: DistDGL reuses one sampled epoch per layer count,
-//! which DistGNN's full-batch epochs have no use for.
+//! (`Threads::serial()` is the conformance oracle). Each grid takes its
+//! engine family's value, whose engines it builds, but the two keep
+//! separate bodies: their outcomes report different fields, and
+//! DistDGL reuses one sampled epoch per layer count, which DistGNN's
+//! full-batch epochs have no use for.
 
-use gp_cluster::ClusterSpec;
-use gp_distdgl::{DistDglConfig, DistDglEngine};
-use gp_distgnn::{DistGnnConfig, DistGnnEngine};
-use gp_exec::{par_map, Parallelism, Threads};
-use gp_graph::{Graph, VertexSplit};
-use gp_tensor::ModelKind;
+use gp_cluster::TraceSink;
+use gp_exec::{par_map, Parallelism};
 
 use crate::config::PaperParams;
 use crate::experiment::{TimedEdgePartition, TimedVertexPartition};
+use crate::family::{DistDgl, DistGnn};
 
 /// Per-partitioner outcome of a DistGNN grid sweep, aligned with the
 /// grid order. All `*_pct` / speedup values are relative to `Random` at
@@ -49,16 +48,17 @@ impl DistGnnGridOutcome {
     }
 }
 
-/// Sweep the grid for every timed edge partition: one job per
-/// partitioner, outcomes in `timed` order, bit-identical for every
-/// `(sweep, engine)` width pair. `timed` must contain the `Random`
-/// baseline.
+/// Sweep the grid for every timed edge partition of `family`'s graph:
+/// one engine per partitioner on `family`'s configuration, one epoch of
+/// `family`'s model kind per grid point, outcomes in `timed` order,
+/// bit-identical for every `(sweep, engine)` width pair. `timed` must
+/// contain the `Random` baseline.
 ///
 /// # Panics
 ///
 /// Panics if `Random` is missing from `timed`.
 pub fn distgnn_grid(
-    graph: &Graph,
+    family: &DistGnn<'_>,
     timed: &[TimedEdgePartition],
     grid: &[PaperParams],
     par: impl Into<Parallelism>,
@@ -66,38 +66,29 @@ pub fn distgnn_grid(
     let _prof = gp_prof::scope("core.sweep.distgnn_grid");
     let par = par.into();
     let random = timed.iter().find(|t| t.name == "Random").expect("Random baseline required");
-    let cluster = ClusterSpec::paper(random.partition.k());
-    fn mk_engine<'g>(
-        graph: &'g Graph,
-        t: &'g TimedEdgePartition,
-        cluster: ClusterSpec,
-        engine_threads: Threads,
-    ) -> DistGnnEngine<'g> {
-        let config = DistGnnConfig::paper(PaperParams::middle().model(ModelKind::Sage), cluster);
-        DistGnnEngine::builder(graph, &t.partition)
-            .config(config)
-            .threads(engine_threads)
-            .build()
-            .expect("valid config")
-    }
+    let kind = family.model.kind;
     // Baseline reports per grid point, computed once up front.
-    let random_engine = mk_engine(graph, random, cluster, par.engine);
+    let random_engine = family
+        .native_engine(&random.partition, par.engine, TraceSink::disabled())
+        .expect("valid config");
     let base: Vec<_> =
-        grid.iter().map(|p| random_engine.simulate_epoch_for(&p.model(ModelKind::Sage))).collect();
+        grid.iter().map(|p| random_engine.simulate_epoch_for(&p.model(kind))).collect();
 
     let jobs: Vec<_> = timed
         .iter()
         .map(|t| {
             let base = &base;
             move || {
-                let engine = mk_engine(graph, t, cluster, par.engine);
+                let engine = family
+                    .native_engine(&t.partition, par.engine, TraceSink::disabled())
+                    .expect("valid config");
                 let mut speedups = Vec::with_capacity(grid.len());
                 let mut memory_pct = Vec::with_capacity(grid.len());
                 let mut traffic_pct = Vec::with_capacity(grid.len());
                 let mut epoch_times = Vec::with_capacity(grid.len());
                 let mut random_times = Vec::with_capacity(grid.len());
                 for (params, base_report) in grid.iter().zip(base.iter()) {
-                    let report = engine.simulate_epoch_for(&params.model(ModelKind::Sage));
+                    let report = engine.simulate_epoch_for(&params.model(kind));
                     let own = report.epoch_time();
                     let base_time = base_report.epoch_time();
                     speedups.push(base_time / own);
@@ -154,29 +145,25 @@ impl DistDglGridOutcome {
     }
 }
 
-/// Sweep the grid for every timed vertex partition with one model
-/// kind: one job per partitioner, outcomes in `timed` order,
-/// bit-identical for every `(sweep, engine)` width pair. Sampling is
-/// reused across grid points with the same layer count (dimensions do
-/// not affect sampled blocks).
+/// Sweep the grid for every timed vertex partition of `family`'s graph
+/// with `family`'s model kind, split and global batch size: one job per
+/// partitioner, outcomes in `timed` order, bit-identical for every
+/// `(sweep, engine)` width pair. Sampling is reused across grid points
+/// with the same layer count (dimensions do not affect sampled blocks).
 ///
 /// # Panics
 ///
 /// Panics if `Random` is missing from `timed`.
 pub fn distdgl_grid(
-    graph: &Graph,
-    split: &VertexSplit,
+    family: &DistDgl<'_>,
     timed: &[TimedVertexPartition],
     grid: &[PaperParams],
-    kind: ModelKind,
-    global_batch_size: u32,
     par: impl Into<Parallelism>,
 ) -> Vec<DistDglGridOutcome> {
     let _prof = gp_prof::scope("core.sweep.distdgl_grid");
     let par = par.into();
     let random = timed.iter().find(|t| t.name == "Random").expect("Random baseline required");
-    let k = random.partition.k();
-    let cluster = ClusterSpec::paper(k);
+    let kind = family.model.kind;
     let layer_counts: Vec<usize> = {
         let mut l: Vec<usize> = grid.iter().map(|p| p.num_layers).collect();
         l.sort_unstable();
@@ -187,26 +174,17 @@ pub fn distdgl_grid(
     // One engine + sampled epoch per (partitioner, layer count); the
     // engine is rebuilt per grid point (cheap) while samples are reused.
     let simulate = |t: &TimedVertexPartition| -> Vec<gp_distdgl::EpochSummary> {
+        let engine = |params: PaperParams| {
+            DistDgl { model: params.model(kind), ..*family }
+                .native_engine(&t.partition, par.engine, TraceSink::disabled())
+                .expect("valid config")
+        };
         let mut summaries = Vec::with_capacity(grid.len());
         for &layers in &layer_counts {
             let probe = PaperParams { num_layers: layers, ..PaperParams::middle() };
-            let mut config = DistDglConfig::paper(probe.model(kind), cluster);
-            config.global_batch_size = global_batch_size;
-            let engine = DistDglEngine::builder(graph, &t.partition, split)
-                .config(config)
-                .threads(par.engine)
-                .build()
-                .expect("valid config");
-            let sampled = engine.sample_epoch(0);
+            let sampled = engine(probe).sample_epoch(0);
             for params in grid.iter().filter(|p| p.num_layers == layers) {
-                let mut config = DistDglConfig::paper(params.model(kind), cluster);
-                config.global_batch_size = global_batch_size;
-                let engine = DistDglEngine::builder(graph, &t.partition, split)
-                    .config(config)
-                    .threads(par.engine)
-                    .build()
-                    .expect("valid config");
-                summaries.push((params, engine.simulate_epoch_from(&sampled)));
+                summaries.push((params, engine(*params).simulate_epoch_from(&sampled)));
             }
         }
         // Restore grid order.
@@ -282,7 +260,20 @@ fn mean(v: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::experiment::{timed_edge_partitions, timed_vertex_partitions};
-    use gp_graph::{DatasetId, GraphScale};
+    use gp_exec::Threads;
+    use gp_graph::{DatasetId, Graph, GraphScale, VertexSplit};
+    use gp_tensor::ModelKind;
+
+    fn gnn(g: &Graph) -> DistGnn<'_> {
+        DistGnn::new(g, PaperParams::middle().model(ModelKind::Sage))
+    }
+
+    fn dgl<'g>(g: &'g Graph, split: &'g VertexSplit) -> DistDgl<'g> {
+        DistDgl {
+            global_batch_size: 256,
+            ..DistDgl::new(g, split, PaperParams::middle().model(ModelKind::Sage))
+        }
+    }
 
     fn tiny_grid() -> Vec<PaperParams> {
         vec![
@@ -296,7 +287,7 @@ mod tests {
         let g = DatasetId::OR.generate(GraphScale::Tiny).unwrap();
         let timed = timed_edge_partitions(&g, 4, 1, Threads::serial());
         let grid = tiny_grid();
-        let outcomes = distgnn_grid(&g, &timed, &grid, Threads::serial());
+        let outcomes = distgnn_grid(&gnn(&g), &timed, &grid, Threads::serial());
         assert_eq!(outcomes.len(), 6);
         for o in &outcomes {
             assert_eq!(o.speedups.len(), 2);
@@ -318,8 +309,7 @@ mod tests {
         let split = VertexSplit::paper_default(g.num_vertices(), 1).unwrap();
         let timed = timed_vertex_partitions(&g, 4, 1, &split.train, Threads::serial());
         let grid = tiny_grid();
-        let outcomes =
-            distdgl_grid(&g, &split, &timed, &grid, ModelKind::Sage, 256, Threads::serial());
+        let outcomes = distdgl_grid(&dgl(&g, &split), &timed, &grid, Threads::serial());
         assert_eq!(outcomes.len(), 6);
         let get = |n: &str| outcomes.iter().find(|o| o.name == n).unwrap();
         for &s in &get("Random").speedups {
@@ -334,9 +324,9 @@ mod tests {
         let g = DatasetId::OR.generate(GraphScale::Tiny).unwrap();
         let timed = timed_edge_partitions(&g, 4, 1, Threads::serial());
         let grid = tiny_grid();
-        let serial = distgnn_grid(&g, &timed, &grid, Threads::serial());
+        let serial = distgnn_grid(&gnn(&g), &timed, &grid, Threads::serial());
         for threads in [2usize, 4, 8] {
-            let par = distgnn_grid(&g, &timed, &grid, Threads::new(threads));
+            let par = distgnn_grid(&gnn(&g), &timed, &grid, Threads::new(threads));
             assert_eq!(par, serial, "threads = {threads}: f64 == on every field");
         }
     }
@@ -347,18 +337,9 @@ mod tests {
         let split = VertexSplit::paper_default(g.num_vertices(), 1).unwrap();
         let timed = timed_vertex_partitions(&g, 4, 1, &split.train, Threads::serial());
         let grid = tiny_grid();
-        let serial =
-            distdgl_grid(&g, &split, &timed, &grid, ModelKind::Sage, 256, Threads::serial());
+        let serial = distdgl_grid(&dgl(&g, &split), &timed, &grid, Threads::serial());
         for threads in [2usize, 4] {
-            let par = distdgl_grid(
-                &g,
-                &split,
-                &timed,
-                &grid,
-                ModelKind::Sage,
-                256,
-                Threads::new(threads),
-            );
+            let par = distdgl_grid(&dgl(&g, &split), &timed, &grid, Threads::new(threads));
             assert_eq!(par, serial, "threads = {threads}");
         }
     }

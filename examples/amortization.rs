@@ -10,9 +10,6 @@
 
 use gnnpart::core::amortize::{epochs_to_amortize, fmt_amortize};
 use gnnpart::core::config::PaperParams;
-use gnnpart::core::experiment::{
-    distdgl_epoch, distgnn_epoch, timed_edge_partitions, timed_vertex_partitions,
-};
 use gnnpart::prelude::*;
 
 fn main() {
@@ -30,13 +27,14 @@ fn main() {
 
     println!("DistGNN (full-batch):");
     println!("{:<10} {:>12} {:>12} {:>14}", "name", "part time s", "epoch ms", "amortised after");
-    let edge = timed_edge_partitions(&graph, machines, 42, Threads::serial());
+    let gnn = DistGnn::new(&graph, params.model(ModelKind::Sage));
+    let edge = gnn.timed_partitions(machines, 42, Threads::serial());
     let random_epoch = {
         let random = edge.iter().find(|t| t.name == "Random").expect("baseline");
-        distgnn_epoch(&graph, &random.partition, params).epoch_time()
+        gnn.healthy_epoch(&random.partition).epoch_time()
     };
     for t in &edge {
-        let epoch = distgnn_epoch(&graph, &t.partition, params).epoch_time();
+        let epoch = gnn.healthy_epoch(&t.partition).epoch_time();
         let amortised = epochs_to_amortize(t.seconds, random_epoch, epoch);
         println!(
             "{:<10} {:>12.4} {:>12.2} {:>14} epochs",
@@ -49,14 +47,14 @@ fn main() {
 
     println!("\nDistDGL (mini-batch, GraphSage):");
     println!("{:<10} {:>12} {:>12} {:>14}", "name", "part time s", "epoch ms", "amortised after");
-    let vertex = timed_vertex_partitions(&graph, machines, 42, &split.train, Threads::serial());
+    let dgl = DistDgl::new(&graph, &split, params.model(ModelKind::Sage));
+    let vertex = dgl.timed_partitions(machines, 42, Threads::serial());
     let random_epoch = {
         let random = vertex.iter().find(|t| t.name == "Random").expect("baseline");
-        distdgl_epoch(&graph, &random.partition, &split, params, ModelKind::Sage, 1024).epoch_time()
+        dgl.healthy_epoch(&random.partition).epoch_time()
     };
     for t in &vertex {
-        let epoch =
-            distdgl_epoch(&graph, &t.partition, &split, params, ModelKind::Sage, 1024).epoch_time();
+        let epoch = dgl.healthy_epoch(&t.partition).epoch_time();
         let amortised = epochs_to_amortize(t.seconds, random_epoch, epoch);
         println!(
             "{:<10} {:>12.4} {:>12.2} {:>14} epochs",

@@ -6,7 +6,6 @@
 //! ```
 
 use gnnpart::core::config::PaperParams;
-use gnnpart::core::experiment::{timed_edge_partitions, timed_vertex_partitions};
 use gnnpart::core::sweep::{distdgl_grid, distgnn_grid};
 use gnnpart::prelude::*;
 
@@ -15,6 +14,8 @@ fn main() {
     let graph = dataset.generate(GraphScale::Small).expect("preset valid");
     let split = VertexSplit::paper_default(graph.num_vertices(), 1).expect("valid fractions");
     let grid = [PaperParams::middle()];
+    let gnn = DistGnn::new(&graph, PaperParams::middle().model(ModelKind::Sage));
+    let dgl = DistDgl::new(&graph, &split, PaperParams::middle().model(ModelKind::Sage));
     println!("{} — speedup over Random as the cluster grows\n", dataset.name());
 
     println!("DistGNN (full-batch, edge partitioning): effectiveness INCREASES");
@@ -25,8 +26,8 @@ fn main() {
     println!();
     let mut rows: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
     for k in [4u32, 8, 16, 32] {
-        let parts = timed_edge_partitions(&graph, k, 42, Threads::serial());
-        for outcome in distgnn_grid(&graph, &parts, &grid, Threads::serial()) {
+        let parts = gnn.timed_partitions(k, 42, Threads::serial());
+        for outcome in distgnn_grid(&gnn, &parts, &grid, Threads::serial()) {
             rows.entry(outcome.name.clone()).or_default().push(outcome.speedups[0]);
         }
     }
@@ -46,10 +47,8 @@ fn main() {
     println!();
     let mut rows: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
     for k in [4u32, 8, 16, 32] {
-        let parts = timed_vertex_partitions(&graph, k, 42, &split.train, Threads::serial());
-        for outcome in
-            distdgl_grid(&graph, &split, &parts, &grid, ModelKind::Sage, 1024, Threads::serial())
-        {
+        let parts = dgl.timed_partitions(k, 42, Threads::serial());
+        for outcome in distdgl_grid(&dgl, &parts, &grid, Threads::serial()) {
             rows.entry(outcome.name.clone()).or_default().push(outcome.speedups[0]);
         }
     }

@@ -2,7 +2,6 @@
 //! given its seed.
 
 use gnnpart::core::config::PaperParams;
-use gnnpart::core::experiment::distdgl_epoch;
 use gnnpart::prelude::*;
 
 #[test]
@@ -64,8 +63,11 @@ fn distdgl_simulation_is_deterministic() {
     let graph = DatasetId::OR.generate(GraphScale::Tiny).unwrap();
     let split = VertexSplit::paper_default(graph.num_vertices(), 1).unwrap();
     let partition = Metis::default().partition_vertices(&graph, 4, 1).unwrap();
-    let run =
-        || distdgl_epoch(&graph, &partition, &split, PaperParams::middle(), ModelKind::Sage, 256);
+    let dgl = DistDgl {
+        global_batch_size: 256,
+        ..DistDgl::new(&graph, &split, PaperParams::middle().model(ModelKind::Sage))
+    };
+    let run = || dgl.healthy_epoch(&partition);
     let a = run();
     let b = run();
     assert_eq!(a.epoch_time(), b.epoch_time());

@@ -1,10 +1,13 @@
 //! End-to-end integration: dataset → partitioners → engines → reports.
 
 use gnnpart::core::config::PaperParams;
-use gnnpart::core::experiment::{
-    distdgl_epoch, distgnn_epoch, timed_edge_partitions, timed_vertex_partitions,
-};
+use gnnpart::core::experiment::{timed_edge_partitions, timed_vertex_partitions};
 use gnnpart::prelude::*;
+
+/// DistGNN training GraphSAGE at the paper's middle configuration.
+fn sage(graph: &Graph) -> DistGnn<'_> {
+    DistGnn::new(graph, PaperParams::middle().model(ModelKind::Sage))
+}
 
 #[test]
 fn full_distgnn_pipeline_on_every_dataset() {
@@ -14,10 +17,10 @@ fn full_distgnn_pipeline_on_every_dataset() {
         assert_eq!(parts.len(), 6, "{}", id.name());
         let random_time = {
             let random = parts.iter().find(|p| p.name == "Random").unwrap();
-            distgnn_epoch(&graph, &random.partition, PaperParams::middle()).epoch_time()
+            sage(&graph).healthy_epoch(&random.partition).epoch_time()
         };
         for t in &parts {
-            let report = distgnn_epoch(&graph, &t.partition, PaperParams::middle());
+            let report = sage(&graph).healthy_epoch(&t.partition);
             assert!(report.epoch_time() > 0.0, "{} on {}", t.name, id.name());
             assert!(report.total_memory() > 0);
             // No partitioner should be drastically worse than random.
@@ -41,14 +44,11 @@ fn full_distdgl_pipeline_on_every_dataset() {
         let parts = timed_vertex_partitions(&graph, 4, 7, &split.train, Threads::serial());
         assert_eq!(parts.len(), 6, "{}", id.name());
         for t in &parts {
-            let summary = distdgl_epoch(
-                &graph,
-                &t.partition,
-                &split,
-                PaperParams::middle(),
-                ModelKind::Sage,
-                256,
-            );
+            let summary = DistDgl {
+                global_batch_size: 256,
+                ..DistDgl::new(&graph, &split, PaperParams::middle().model(ModelKind::Sage))
+            }
+            .healthy_epoch(&t.partition);
             assert!(summary.epoch_time() > 0.0, "{} on {}", t.name, id.name());
             assert!(summary.total_input_vertices > 0);
             assert!(summary.steps >= 1);
@@ -62,7 +62,7 @@ fn quality_partitioners_beat_random_on_distgnn() {
     let parts = timed_edge_partitions(&graph, 8, 7, Threads::serial());
     let time = |name: &str| {
         let t = parts.iter().find(|p| p.name == name).unwrap();
-        distgnn_epoch(&graph, &t.partition, PaperParams::middle()).epoch_time()
+        sage(&graph).healthy_epoch(&t.partition).epoch_time()
     };
     let random = time("Random");
     assert!(time("HEP-100") < random, "HEP-100 must beat Random");
@@ -111,7 +111,7 @@ fn replication_factor_drives_traffic_and_memory() {
     let mut traffic = Vec::new();
     let mut memory = Vec::new();
     for t in &parts {
-        let report = distgnn_epoch(&graph, &t.partition, PaperParams::middle());
+        let report = sage(&graph).healthy_epoch(&t.partition);
         rf.push(t.partition.replication_factor());
         traffic.push(report.counters.total_network_bytes() as f64);
         memory.push(report.total_memory() as f64);

@@ -2,9 +2,24 @@
 //! (tiny scale; EXPERIMENTS.md records the Small-scale numbers).
 
 use gnnpart::core::config::PaperParams;
-use gnnpart::core::experiment::{distdgl_epoch, timed_edge_partitions, timed_vertex_partitions};
+use gnnpart::core::experiment::{timed_edge_partitions, timed_vertex_partitions};
 use gnnpart::core::sweep::{distdgl_grid, distgnn_grid};
 use gnnpart::prelude::*;
+
+/// DistGNN training GraphSAGE at the paper's middle configuration.
+fn gnn(graph: &Graph) -> DistGnn<'_> {
+    DistGnn::new(graph, PaperParams::middle().model(ModelKind::Sage))
+}
+
+/// DistDGL training `kind` at the paper's middle configuration.
+fn dgl<'g>(
+    graph: &'g Graph,
+    split: &'g VertexSplit,
+    kind: ModelKind,
+    global_batch_size: u32,
+) -> DistDgl<'g> {
+    DistDgl { global_batch_size, ..DistDgl::new(graph, split, PaperParams::middle().model(kind)) }
+}
 
 /// RQ-1 / Lesson 1: graph partitioning speeds up full-batch GNN training,
 /// and the effectiveness increases with the scale-out factor.
@@ -14,7 +29,7 @@ fn distgnn_speedup_grows_with_scaleout() {
     let grid = [PaperParams::middle()];
     let speedup_at = |k: u32| {
         let parts = timed_edge_partitions(&graph, k, 7, Threads::serial());
-        distgnn_grid(&graph, &parts, &grid, Threads::serial())
+        distgnn_grid(&gnn(&graph), &parts, &grid, Threads::serial())
             .into_iter()
             .find(|o| o.name == "HEP-100")
             .unwrap()
@@ -33,7 +48,7 @@ fn distgnn_memory_shrinks_with_rf() {
     let graph = DatasetId::OR.generate(GraphScale::Tiny).unwrap();
     let parts = timed_edge_partitions(&graph, 8, 7, Threads::serial());
     let grid = [PaperParams::middle()];
-    let outcomes = distgnn_grid(&graph, &parts, &grid, Threads::serial());
+    let outcomes = distgnn_grid(&gnn(&graph), &parts, &grid, Threads::serial());
     let get = |n: &str| outcomes.iter().find(|o| o.name == n).unwrap().memory_pct[0];
     assert!(get("HEP-100") < 70.0, "HEP-100 memory {}% of Random", get("HEP-100"));
     assert!(get("HEP-100") < get("DBH"));
@@ -51,7 +66,7 @@ fn distdgl_feature_size_increases_effectiveness() {
         PaperParams { feature_size: 512, ..PaperParams::middle() },
     ];
     let outcomes =
-        distdgl_grid(&graph, &split, &parts, &grid, ModelKind::Sage, 256, Threads::serial());
+        distdgl_grid(&dgl(&graph, &split, ModelKind::Sage, 256), &parts, &grid, Threads::serial());
     let best = outcomes
         .iter()
         .filter(|o| o.name != "Random")
@@ -78,7 +93,7 @@ fn distdgl_hidden_dim_decreases_effectiveness() {
         PaperParams { hidden_dim: 512, ..PaperParams::middle() },
     ];
     let outcomes =
-        distdgl_grid(&graph, &split, &parts, &grid, ModelKind::Sage, 256, Threads::serial());
+        distdgl_grid(&dgl(&graph, &split, ModelKind::Sage, 256), &parts, &grid, Threads::serial());
     // Averaged over the quality partitioners to damp sampling noise.
     let (mut lo, mut hi, mut count) = (0.0, 0.0, 0);
     for o in outcomes.iter().filter(|o| o.name != "Random") {
@@ -104,14 +119,7 @@ fn remote_vertices_track_traffic() {
     let mut remote = Vec::new();
     let mut traffic = Vec::new();
     for t in &parts {
-        let s = distdgl_epoch(
-            &graph,
-            &t.partition,
-            &split,
-            PaperParams::middle(),
-            ModelKind::Sage,
-            256,
-        );
+        let s = dgl(&graph, &split, ModelKind::Sage, 256).healthy_epoch(&t.partition);
         remote.push(s.total_remote_vertices as f64);
         traffic.push(s.counters.total_network_bytes() as f64);
     }
@@ -131,7 +139,7 @@ fn larger_batches_reduce_relative_traffic() {
     let parts = timed_vertex_partitions(&graph, 4, 7, &split.train, Threads::serial());
     let grid = [PaperParams { feature_size: 512, ..PaperParams::middle() }];
     let traffic_at = |gbs: u32| {
-        distdgl_grid(&graph, &split, &parts, &grid, ModelKind::Sage, gbs, Threads::serial())
+        distdgl_grid(&dgl(&graph, &split, ModelKind::Sage, gbs), &parts, &grid, Threads::serial())
             .into_iter()
             .filter(|o| o.name == "METIS" || o.name == "KaHIP")
             .map(|o| o.traffic_pct[0])
@@ -149,9 +157,8 @@ fn gat_heavier_than_sage() {
     let graph = DatasetId::OR.generate(GraphScale::Tiny).unwrap();
     let split = VertexSplit::paper_default(graph.num_vertices(), 1).unwrap();
     let partition = Metis::default().partition_vertices(&graph, 4, 1).unwrap();
-    let sage =
-        distdgl_epoch(&graph, &partition, &split, PaperParams::middle(), ModelKind::Sage, 256);
-    let gat = distdgl_epoch(&graph, &partition, &split, PaperParams::middle(), ModelKind::Gat, 256);
+    let sage = dgl(&graph, &split, ModelKind::Sage, 256).healthy_epoch(&partition);
+    let gat = dgl(&graph, &split, ModelKind::Gat, 256).healthy_epoch(&partition);
     assert!(gat.phases.forward > sage.phases.forward);
     // Sampling and feature loading are architecture-independent.
     assert!((gat.phases.sampling - sage.phases.sampling).abs() < 1e-9);

@@ -67,14 +67,14 @@ fn distgnn_grid_is_bit_identical_across_thread_counts() {
     let g = graph();
     let timed = timed_edge_partitions(&g, 4, 1, Threads::serial());
     let grid = small_grid();
-    let serial = distgnn_grid(&g, &timed, &grid, Threads::serial());
+    let serial = distgnn_grid(&gnn(&g), &timed, &grid, Threads::serial());
     for threads in THREAD_COUNTS {
-        let par = distgnn_grid(&g, &timed, &grid, Threads::new(threads));
+        let par = distgnn_grid(&gnn(&g), &timed, &grid, Threads::new(threads));
         assert_eq!(par, serial, "threads = {threads}");
     }
     // Run-to-run stability at a fixed parallel width.
-    let a = distgnn_grid(&g, &timed, &grid, Threads::new(4));
-    let b = distgnn_grid(&g, &timed, &grid, Threads::new(4));
+    let a = distgnn_grid(&gnn(&g), &timed, &grid, Threads::new(4));
+    let b = distgnn_grid(&gnn(&g), &timed, &grid, Threads::new(4));
     assert_eq!(a, b, "repeated 4-thread runs");
 }
 
@@ -84,7 +84,7 @@ fn distdgl_grid_is_bit_identical_across_thread_counts() {
     let split = VertexSplit::paper_default(g.num_vertices(), 1).unwrap();
     let timed = timed_vertex_partitions(&g, 4, 1, &split.train, Threads::serial());
     let grid = small_grid();
-    let run = |threads| distdgl_grid(&g, &split, &timed, &grid, ModelKind::Sage, 256, threads);
+    let run = |threads| distdgl_grid(&dgl(&g, &split), &timed, &grid, threads);
     let serial = run(Threads::serial());
     for threads in THREAD_COUNTS {
         assert_eq!(run(Threads::new(threads)), serial, "threads = {threads}");
@@ -543,13 +543,12 @@ fn nested_sweep_and_engine_pools_match_the_serial_oracle() {
     let grid = small_grid();
     let nested = Parallelism::new(Threads::new(4), Threads::new(4));
 
-    let serial_e = distgnn_grid(&g, &timed_e, &grid, Threads::serial());
-    let par_e = distgnn_grid(&g, &timed_e, &grid, nested);
+    let serial_e = distgnn_grid(&gnn(&g), &timed_e, &grid, Threads::serial());
+    let par_e = distgnn_grid(&gnn(&g), &timed_e, &grid, nested);
     assert_eq!(par_e, serial_e, "distgnn grid: sweep 4 x engine 4");
 
-    let serial_v =
-        distdgl_grid(&g, &split, &timed_v, &grid, ModelKind::Sage, 256, Threads::serial());
-    let par_v = distdgl_grid(&g, &split, &timed_v, &grid, ModelKind::Sage, 256, nested);
+    let serial_v = distdgl_grid(&dgl(&g, &split), &timed_v, &grid, Threads::serial());
+    let par_v = distdgl_grid(&dgl(&g, &split), &timed_v, &grid, nested);
     assert_eq!(par_v, serial_v, "distdgl grid: sweep 4 x engine 4");
 
     let soak_timed: Vec<_> = timed_e.into_iter().take(1).collect();
@@ -563,9 +562,9 @@ fn nested_sweep_and_engine_pools_match_the_serial_oracle() {
 fn advisor_ranking_is_identical_across_thread_counts() {
     let g = graph();
     let gnn = gnn(&g);
-    let serial = recommend_edge_partitioner(&gnn, 4, 100, Threads::serial());
+    let serial = recommend(&gnn, 4, 100, Threads::serial());
     for threads in THREAD_COUNTS {
-        let par = recommend_edge_partitioner(&gnn, 4, 100, Threads::new(threads));
+        let par = recommend(&gnn, 4, 100, Threads::new(threads));
         // partition_seconds (and the net_saving rank built on it) is
         // wall clock; the simulated quantities must match exactly,
         // candidate by candidate.
