@@ -5,6 +5,7 @@ use std::path::PathBuf;
 
 use gp_exec::Threads;
 use gp_graph::GraphScale;
+use gp_partition::MAX_PARTITIONS;
 
 /// Usage text shown by `gnnpart help`.
 pub const USAGE: &str = "\
@@ -409,6 +410,24 @@ impl Opts {
     fn value_for(&mut self, flag: &str) -> Result<String, ParseError> {
         self.next().ok_or_else(|| ParseError(format!("{flag} requires a value")))
     }
+
+    /// `flag`'s value as a number of type `T`; a value that does not fit
+    /// is an error, never truncated.
+    fn numeric<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, ParseError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value_for(flag)?.parse().map_err(|e| ParseError(format!("bad {flag}: {e}")))
+    }
+
+    /// `-k`'s value: a machine count in `1..=MAX_PARTITIONS`.
+    fn machines(&mut self) -> Result<u32, ParseError> {
+        let k = self.numeric("-k")?;
+        if !(1..=MAX_PARTITIONS).contains(&k) {
+            return err(format!("bad -k: {k} is outside 1..={MAX_PARTITIONS}"));
+        }
+        Ok(k)
+    }
 }
 
 /// Parse a full argument vector (without the program name).
@@ -487,12 +506,7 @@ fn parse_partition(opts: &mut Opts) -> Result<Command, ParseError> {
     while let Some(flag) = opts.next() {
         match flag.as_str() {
             "--algo" => cmd.algo = opts.value_for("--algo")?,
-            "-k" => {
-                cmd.k = opts
-                    .value_for("-k")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad -k: {e}")))?;
-            }
+            "-k" => cmd.k = opts.machines()?,
             "--seed" => {
                 cmd.seed = opts
                     .value_for("--seed")?
@@ -536,17 +550,14 @@ fn apply_simulate_flag(
     flag: &str,
     opts: &mut Opts,
 ) -> Result<bool, ParseError> {
-    let numeric = |opts: &mut Opts, flag: &str| -> Result<usize, ParseError> {
-        opts.value_for(flag)?.parse().map_err(|e| ParseError(format!("bad {flag}: {e}")))
-    };
     match flag {
         "--algo" => cmd.algo = opts.value_for("--algo")?,
-        "-k" => cmd.k = numeric(opts, "-k")? as u32,
+        "-k" => cmd.k = opts.machines()?,
         "--system" => cmd.system = opts.value_for("--system")?,
         "--model" => cmd.model = opts.value_for("--model")?,
-        "--features" => cmd.features = numeric(opts, "--features")?,
-        "--hidden" => cmd.hidden = numeric(opts, "--hidden")?,
-        "--layers" => cmd.layers = numeric(opts, "--layers")?,
+        "--features" => cmd.features = opts.numeric("--features")?,
+        "--hidden" => cmd.hidden = opts.numeric("--hidden")?,
+        "--layers" => cmd.layers = opts.numeric("--layers")?,
         "--directed" => cmd.directed = true,
         "--faults" => cmd.faults = true,
         "--mtbf" => {
@@ -559,13 +570,13 @@ fn apply_simulate_flag(
             }
         }
         "--epochs" => {
-            cmd.epochs = numeric(opts, "--epochs")? as u32;
+            cmd.epochs = opts.numeric("--epochs")?;
             if cmd.epochs == 0 {
                 return err("--epochs must be at least 1");
             }
         }
         "--checkpoint-every" => {
-            cmd.checkpoint_every = numeric(opts, "--checkpoint-every")? as u32;
+            cmd.checkpoint_every = opts.numeric("--checkpoint-every")?;
             if cmd.checkpoint_every == 0 {
                 return err("--checkpoint-every must be at least 1 \
                      (omit the flag to run without checkpoints)");
@@ -833,16 +844,13 @@ fn parse_recommend(opts: &mut Opts) -> Result<Command, ParseError> {
         threads: Threads::auto(),
     };
     while let Some(flag) = opts.next() {
-        let numeric = |opts: &mut Opts, flag: &str| -> Result<usize, ParseError> {
-            opts.value_for(flag)?.parse().map_err(|e| ParseError(format!("bad {flag}: {e}")))
-        };
         match flag.as_str() {
-            "-k" => cmd.k = numeric(opts, "-k")? as u32,
+            "-k" => cmd.k = opts.machines()?,
             "--system" => cmd.system = opts.value_for("--system")?,
-            "--epochs" => cmd.epochs = numeric(opts, "--epochs")? as u32,
-            "--features" => cmd.features = numeric(opts, "--features")?,
-            "--hidden" => cmd.hidden = numeric(opts, "--hidden")?,
-            "--layers" => cmd.layers = numeric(opts, "--layers")?,
+            "--epochs" => cmd.epochs = opts.numeric("--epochs")?,
+            "--features" => cmd.features = opts.numeric("--features")?,
+            "--hidden" => cmd.hidden = opts.numeric("--hidden")?,
+            "--layers" => cmd.layers = opts.numeric("--layers")?,
             "--directed" => cmd.directed = true,
             "--threads" => {
                 let value = opts.value_for("--threads")?;
@@ -1462,5 +1470,24 @@ mod tests {
             .unwrap_err()
             .0
             .contains("unknown scale"));
+    }
+
+    #[test]
+    fn machine_counts_and_epochs_are_range_checked_not_truncated() {
+        for cmd in ["partition", "simulate", "trace", "diagnose", "chaos", "recommend"] {
+            for k in ["0", "65", "4294967300"] {
+                let e = parse(&[cmd, "g.el", "-k", k]).unwrap_err().0;
+                assert!(e.starts_with("bad -k: "), "{cmd} -k {k}: {e}");
+            }
+            assert!(parse(&[cmd, "g.el", "-k", "64"]).is_ok(), "{cmd} -k 64");
+        }
+        assert_eq!(
+            parse(&["simulate", "g.el", "-k", "0"]).unwrap_err().0,
+            "bad -k: 0 is outside 1..=64"
+        );
+        for cmd in ["simulate", "recommend"] {
+            let e = parse(&[cmd, "g.el", "--epochs", "4294967297"]).unwrap_err().0;
+            assert!(e.starts_with("bad --epochs: "), "{cmd}: {e}");
+        }
     }
 }

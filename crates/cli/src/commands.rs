@@ -4,11 +4,12 @@ use std::error::Error;
 use std::fmt::{Display, Write as _};
 use std::io::Write;
 use std::path::Path;
+use std::time::Instant;
 
 use gp_cluster::{
     validate_fault_churn, CheckpointConfig, ChurnPlan, ElasticOptions, FaultPlan, FaultSpec,
     MetricsSnapshot, MitigationPolicy, MitigationReport, NetFaultPlan, NetRunOptions,
-    RecoveryReport, RunReport, RunSpec, TraceSink,
+    RecoveryReport, RunSpec, TraceSink,
 };
 use gp_core::chaos::{chaos_bench_json, chaos_churn_spec, chaos_soak, chaos_table};
 use gp_core::config::PaperParams;
@@ -21,7 +22,7 @@ use gp_core::report::Table;
 use gp_core::stream_sweep::{stream_bench_json, stream_policies, stream_sweep, stream_table};
 use gp_core::trace_run::trace_run;
 use gp_distgnn::DistGnnError;
-use gp_exec::{Parallelism, Threads};
+use gp_exec::{par_map, Parallelism, Threads};
 use gp_graph::{edgelist, DatasetId, DegreeStats, Graph, StreamSpec, VertexSplit};
 use gp_partition::{EdgePartition, VertexPartition};
 use gp_tensor::{ModelConfig, ModelKind};
@@ -208,21 +209,16 @@ impl System for DistGnn<'_> {
                 [] => String::new(),
                 crashed => format!("  (crash: machines {crashed:?})"),
             };
-            let (epochs, aborted) = fault_epochs(
-                engine.run(&fault_spec(cmd, policy))?,
-                |r| FaultEpoch {
-                    seconds: r.report.epoch_time(),
-                    recovery: r.recovery,
-                    mitigation: MitigationReport::default(),
-                    note: note(&r.crashed_machines),
-                },
-                |r| FaultEpoch {
+            let (epochs, aborted) = engine.run(&fault_spec(cmd, policy))?.into_faulty();
+            let epochs: Vec<_> = epochs
+                .into_iter()
+                .map(|r| FaultEpoch {
                     seconds: r.report.epoch_time(),
                     recovery: r.recovery,
                     mitigation: r.mitigation,
                     note: note(&r.crashed_machines),
-                },
-            );
+                })
+                .collect();
             return write_fault_run(out, cmd, policy, &epochs, aborted);
         }
         let r = engine.run(&RunSpec::healthy())?.into_healthy().remove(0);
@@ -266,21 +262,16 @@ impl System for DistDgl<'_> {
                 [] => format!(", {steps} steps"),
                 down => format!(", {steps} steps  (workers down: {down:?})"),
             };
-            let (epochs, aborted) = fault_epochs(
-                engine.run(&fault_spec(cmd, policy))?,
-                |r| FaultEpoch {
-                    seconds: r.summary.epoch_time(),
-                    recovery: r.recovery,
-                    mitigation: MitigationReport::default(),
-                    note: note(r.summary.steps, &r.failed_workers),
-                },
-                |r| FaultEpoch {
+            let (epochs, aborted) = engine.run(&fault_spec(cmd, policy))?.into_faulty();
+            let epochs: Vec<_> = epochs
+                .into_iter()
+                .map(|r| FaultEpoch {
                     seconds: r.summary.epoch_time(),
                     recovery: r.recovery,
                     mitigation: r.mitigation,
                     note: note(r.summary.steps, &r.failed_workers),
-                },
-            );
+                })
+                .collect();
             return write_fault_run(out, cmd, policy, &epochs, aborted);
         }
         let s = engine.run(&RunSpec::healthy())?.into_healthy().remove(0);
@@ -448,7 +439,7 @@ impl Body for &TraceCmd {
         let sink = TraceSink::enabled();
         let engine = family.engine(&partition, sim.engine_threads, sink.clone())?;
         println!("tracing {} on {} machines with {}", F::LABEL, sim.k, sim.algo);
-        let (epochs, aborted) = fault_epochs(engine.run(&fault_spec(sim, policy))?, |e| e, |e| e);
+        let (epochs, aborted) = engine.run(&fault_spec(sim, policy))?.into_faulty();
         if let Some(e) = aborted {
             println!("epoch {:>3}: training aborted: {e}", epochs.len());
         }
@@ -744,17 +735,27 @@ impl Body for &StreamCmd {
     }
 }
 
-/// The roster partitions `--algo` selects for a soak, timed, after the
-/// soak's header line.
+/// The roster partitions `--algo` selects for a soak, timed, one job
+/// per partitioner on the pool in roster order, after the soak's header
+/// line.
 fn soak_partitions<F: System>(
     family: &F,
     soak: &str,
     sim: &SimulateCmd,
     threads: Threads,
 ) -> Result<Vec<Timed<F::Partition>>, Box<dyn Error>> {
-    let names = roster::<F>(&sim.algo)?;
-    let mut timed = family.timed_partitions(sim.k, 42, threads);
-    timed.retain(|t| names.contains(&t.name.as_str()));
+    let jobs: Vec<_> = roster::<F>(&sim.algo)?
+        .into_iter()
+        .map(|name| {
+            move || {
+                let start = Instant::now();
+                let partition = family.partition(name, sim.k, 42).expect("a roster partitioner");
+                let seconds = start.elapsed().as_secs_f64();
+                partition.map(|partition| Timed { name: name.into(), partition, seconds })
+            }
+        })
+        .collect();
+    let timed = par_map(threads, jobs).into_iter().collect::<Result<Vec<_>, _>>()?;
     println!(
         "{soak}: {}, {} machines, {} partitioner(s), {} epochs \
          (mtbf {}, checkpoint every {}, seed {})",
@@ -810,25 +811,9 @@ fn fault_plan(cmd: &SimulateCmd) -> FaultPlan {
 
 /// The run of `simulate`'s, `trace`'s and `diagnose`'s fault path:
 /// `--epochs` epochs under the seeded fault plan (an empty one without
-/// `--faults`), mitigated by `policy` unless it is none.
+/// `--faults`), mitigated by `policy`.
 fn fault_spec(sim: &SimulateCmd, policy: MitigationPolicy) -> RunSpec {
     diagnose_spec(sim.epochs, sim.faults.then(|| fault_plan(sim)).as_ref(), policy)
-}
-
-/// The epochs of a fault run's `report`, each mapped by `faulty` or
-/// `mitigated`, and the error that aborted the run.
-fn fault_epochs<H, Fy, M, E, T>(
-    report: RunReport<H, Fy, M, E>,
-    faulty: impl Fn(Fy) -> T,
-    mitigated: impl Fn(M) -> T,
-) -> (Vec<T>, Option<E>) {
-    match report {
-        RunReport::Faulty { epochs, error } => (epochs.into_iter().map(faulty).collect(), error),
-        RunReport::Mitigated { epochs, error } => {
-            (epochs.into_iter().map(mitigated).collect(), error)
-        }
-        _ => unreachable!("a fault spec runs the faulty or the mitigated leg"),
-    }
 }
 
 /// `gnnpart recommend`.

@@ -18,7 +18,8 @@
 use crate::faults::FaultPlan;
 
 /// Default simulated checkpoint storage bandwidth (local SSD, ~500
-/// MB/s) — matches the constant the DistGNN engine has always used.
+/// MB/s, a commodity SATA SSD of the paper's testbed era). DistGNN's
+/// fixed-fleet checkpoints and restores are priced at it too.
 pub const DEFAULT_CHECKPOINT_BW: f64 = 5e8;
 
 /// Checkpoint policy of an elastic run.

@@ -9,7 +9,7 @@
 //!
 //! let plan = FaultPlan::empty();
 //! let spec = RunSpec::healthy().epochs(4).faults(plan).mitigate(MitigationPolicy::all());
-//! assert!(matches!(spec.scenario(), Ok(Scenario::Mitigated { .. })));
+//! assert!(matches!(spec.scenario(), Ok(Scenario::Faulty { .. })));
 //! ```
 //!
 //! The engines consume a spec through `engine.run(&spec)`, which
@@ -189,13 +189,13 @@ impl RunSpec {
         if let Some(elastic) = &self.elastic {
             return Ok(Scenario::Elastic { faults: self.faults.as_ref(), elastic });
         }
-        if let Some(policy) = &self.mitigate {
-            return Ok(Scenario::Mitigated { plan: self.faults.as_ref(), policy });
+        if self.faults.is_none() && self.mitigate.is_none() {
+            return Ok(Scenario::Healthy);
         }
-        match &self.faults {
-            Some(plan) => Ok(Scenario::Faulty(plan)),
-            None => Ok(Scenario::Healthy),
-        }
+        Ok(Scenario::Faulty {
+            plan: self.faults.as_ref(),
+            policy: self.mitigate.unwrap_or_else(MitigationPolicy::none),
+        })
     }
 }
 
@@ -205,15 +205,15 @@ impl RunSpec {
 pub enum Scenario<'a> {
     /// No faults, no mitigation, fixed fleet.
     Healthy,
-    /// Machine faults priced by the recovery model, no mitigation.
-    Faulty(&'a FaultPlan),
-    /// Detector plus mitigations over a (possibly empty) fault plan.
-    Mitigated {
-        /// Fault schedule the mitigations respond to (`None` = healthy
-        /// cluster, detector still runs).
+    /// Fixed fleet under machine faults priced by the recovery model,
+    /// with the detector and mitigations the policy arms.
+    Faulty {
+        /// Fault schedule (`None` = healthy cluster, the detector still
+        /// runs).
         plan: Option<&'a FaultPlan>,
-        /// Which mitigations are armed.
-        policy: &'a MitigationPolicy,
+        /// Which mitigations are armed ([`MitigationPolicy::none`] when
+        /// [`RunSpec::mitigate`] was not called).
+        policy: MitigationPolicy,
     },
     /// Elastic fleet under churn, checkpoint-protected.
     Elastic {
@@ -243,33 +243,26 @@ pub enum Scenario<'a> {
 }
 
 /// Result of an engine's `run` — one variant per resolved [`Scenario`],
-/// generic over the engine's healthy (`H`), faulty (`F`) and mitigated
-/// (`M`) epoch reports and its error type (`E`).
+/// generic over the engine's healthy (`H`) and faulty (`F`) epoch
+/// reports and its error type (`E`).
 ///
-/// The epoch-wise scenarios (`Faulty`, `Mitigated`) never abort
-/// mid-run: on an unrecoverable fault the run truncates, keeping the
-/// epochs that completed and recording the error in the variant
+/// The fixed-fleet fault scenario never aborts mid-run: on an
+/// unrecoverable fault the run truncates, keeping the epochs that
+/// completed and recording the error in the variant
 /// ([`crate::run_until_error`]); [`RunReport::strict`] restores
 /// fail-fast semantics.
 #[derive(Debug)]
-pub enum RunReport<H, F, M, E> {
+pub enum RunReport<H, F, E> {
     /// Healthy fixed-fleet run: one report per epoch.
     Healthy {
         /// Per-epoch reports, epoch order.
         epochs: Vec<H>,
     },
-    /// Run under a fault plan; truncated at the first unrecoverable
-    /// fault.
+    /// Run under a fault plan, mitigated as the policy arms; truncated
+    /// at the first unrecoverable fault.
     Faulty {
         /// Reports of the epochs that completed, epoch order.
         epochs: Vec<F>,
-        /// The fault that ended the run early, if any.
-        error: Option<E>,
-    },
-    /// Run under a fault plan with mitigation; truncated like `Faulty`.
-    Mitigated {
-        /// Reports of the epochs that completed, epoch order.
-        epochs: Vec<M>,
         /// The fault that ended the run early, if any.
         error: Option<E>,
     },
@@ -281,7 +274,7 @@ pub enum RunReport<H, F, M, E> {
     Stream(StreamRunReport),
 }
 
-impl<H: Debug, F: Debug, M: Debug, E: Debug> RunReport<H, F, M, E> {
+impl<H: Debug, F: Debug, E: Debug> RunReport<H, F, E> {
     /// Fail-fast view: a run cut short by a terminal fault becomes that
     /// fault's `Err`, everything else passes through unchanged.
     ///
@@ -290,8 +283,7 @@ impl<H: Debug, F: Debug, M: Debug, E: Debug> RunReport<H, F, M, E> {
     /// The recorded terminal fault, if the run ended early.
     pub fn strict(self) -> Result<Self, E> {
         match self {
-            RunReport::Faulty { error: Some(e), .. }
-            | RunReport::Mitigated { error: Some(e), .. } => Err(e),
+            RunReport::Faulty { error: Some(e), .. } => Err(e),
             other => Ok(other),
         }
     }
@@ -317,18 +309,6 @@ impl<H: Debug, F: Debug, M: Debug, E: Debug> RunReport<H, F, M, E> {
         match self {
             RunReport::Faulty { epochs, error } => (epochs, error),
             other => panic!("expected a faulty run report, got {other:?}"),
-        }
-    }
-
-    /// A mitigated run's completed epochs and truncation error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the run was not mitigated.
-    pub fn into_mitigated(self) -> (Vec<M>, Option<E>) {
-        match self {
-            RunReport::Mitigated { epochs, error } => (epochs, error),
-            other => panic!("expected a mitigated run report, got {other:?}"),
         }
     }
 
@@ -427,15 +407,36 @@ mod tests {
     fn faults_alone_is_faulty() {
         let spec = RunSpec::healthy().epochs(8).faults(FaultPlan::empty());
         assert_eq!(spec.num_epochs(), 8);
-        assert!(matches!(spec.scenario(), Ok(Scenario::Faulty(_))));
+        let none = MitigationPolicy::none();
+        assert!(
+            matches!(spec.scenario(), Ok(Scenario::Faulty { plan: Some(_), policy }) if policy == none)
+        );
     }
 
     #[test]
     fn mitigate_with_or_without_faults() {
         let with = RunSpec::healthy().faults(FaultPlan::empty()).mitigate(MitigationPolicy::all());
-        assert!(matches!(with.scenario(), Ok(Scenario::Mitigated { plan: Some(_), .. })));
+        assert!(matches!(with.scenario(), Ok(Scenario::Faulty { plan: Some(_), .. })));
         let without = RunSpec::healthy().mitigate(MitigationPolicy::steal());
-        assert!(matches!(without.scenario(), Ok(Scenario::Mitigated { plan: None, .. })));
+        let steal = MitigationPolicy::steal();
+        assert!(
+            matches!(without.scenario(), Ok(Scenario::Faulty { plan: None, policy }) if policy == steal)
+        );
+    }
+
+    #[test]
+    fn a_plan_with_or_without_a_policy_is_one_faulty_scenario() {
+        let plan = FaultPlan::generate(&crate::FaultSpec::standard(4, 6, 2.0, 7));
+        let plain = RunSpec::healthy().epochs(6).faults(plan.clone());
+        let none = plain.clone().mitigate(MitigationPolicy::none());
+        assert_eq!(plain.scenario(), none.scenario());
+        assert_eq!(
+            plain.scenario(),
+            Ok(Scenario::Faulty { plan: Some(&plan), policy: MitigationPolicy::none() })
+        );
+        let (churn, ckpt, opts) = elastic_args();
+        let elastic = none.elastic(churn, ckpt, opts);
+        assert_eq!(elastic.scenario().unwrap_err(), RunSpecError::MitigateWithElastic);
     }
 
     #[test]

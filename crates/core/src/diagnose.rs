@@ -165,7 +165,7 @@ pub fn diagnose_run<F: Family>(
     let sink = TraceSink::enabled();
     let engine = family.engine(partition, engine_threads, sink.clone())?;
     let epochs: Vec<Epoch> = match engine.run(spec)?.strict()? {
-        RunReport::Faulty { epochs, .. } | RunReport::Mitigated { epochs, .. } => epochs,
+        RunReport::Faulty { epochs, .. } => epochs,
         _ => return Err(F::invalid(NOT_DIAGNOSABLE)),
     };
     let workers = F::machines(partition);
@@ -190,18 +190,13 @@ pub fn diagnose_run<F: Family>(
 
 const NOT_DIAGNOSABLE: &str = "diagnose needs a fault or mitigation leg (see diagnose_spec)";
 
-/// The [`RunSpec`] every diagnosis runs: `epochs` epochs, always with an
-/// explicit fault plan (empty when none was given), plus the mitigation
-/// layer when `policy` enables anything. `plan` / `policy` compose
-/// exactly as in the `gnnpart simulate` fault path; a
-/// [`MitigationPolicy::none`] policy runs the unmitigated engine.
+/// The [`RunSpec`] every diagnosis runs: `epochs` epochs under `plan`
+/// (an empty one when none was given), mitigated by `policy` — the
+/// `gnnpart simulate` fault path; a [`MitigationPolicy::none`] policy
+/// runs the unmitigated engine.
 pub fn diagnose_spec(epochs: u32, plan: Option<&FaultPlan>, policy: MitigationPolicy) -> RunSpec {
-    let mut spec =
-        RunSpec::healthy().epochs(epochs).faults(plan.cloned().unwrap_or_else(FaultPlan::empty));
-    if !policy.is_none() {
-        spec = spec.mitigate(policy);
-    }
-    spec
+    let plan = plan.cloned().unwrap_or_else(FaultPlan::empty);
+    RunSpec::healthy().epochs(epochs).faults(plan).mitigate(policy)
 }
 
 /// One diagnosis of [`diagnose_spec`] per timed partition, on the

@@ -64,7 +64,7 @@ impl Epoch {
 type Partitioned<P> = Option<Result<P, PartitionError>>;
 
 /// An engine's run report with [`Epoch`] for every epoch-wise variant.
-pub type Run<E> = RunReport<Epoch, Epoch, Epoch, E>;
+pub type Run<E> = RunReport<Epoch, Epoch, E>;
 
 /// An engine's `run`, behind one report type for both families.
 type RunFn<'a, E> = dyn Fn(&RunSpec) -> Result<Run<E>, E> + 'a;
@@ -86,7 +86,7 @@ impl<E> Engine<'_, E> {
 /// What differs between the two engines in a sweep cell.
 pub trait Family: Sync {
     /// The partition the engine trains on.
-    type Partition: Sync;
+    type Partition: Send + Sync;
     /// The engine's error type.
     type Error: std::error::Error + Send + 'static;
     /// Lower-case engine name, the suffix of the family's profile
@@ -216,8 +216,7 @@ impl Family for DistGnn<'_> {
             Ok(unify(
                 engine.run(spec)?,
                 |e| Epoch::of(&e, RecoveryReport::default(), MitigationReport::default()),
-                |f| Epoch::of(&f.report, f.recovery, MitigationReport::default()),
-                |m| Epoch::of(&m.report, m.recovery, m.mitigation),
+                |f| Epoch::of(&f.report, f.recovery, f.mitigation),
             ))
         })))
     }
@@ -331,8 +330,7 @@ impl Family for DistDgl<'_> {
             Ok(unify(
                 engine.run(spec)?,
                 |e| Epoch::of(&e, RecoveryReport::default(), MitigationReport::default()),
-                |f| Epoch::of(&f.summary, f.recovery, MitigationReport::default()),
-                |m| Epoch::of(&m.summary, m.recovery, m.mitigation),
+                |f| Epoch::of(&f.summary, f.recovery, f.mitigation),
             ))
         })))
     }
@@ -368,11 +366,10 @@ impl Family for DistDgl<'_> {
 }
 
 /// Map an engine's epoch-wise report variants to [`Epoch`]s.
-fn unify<H, F, M, E>(
-    report: RunReport<H, F, M, E>,
+fn unify<H, F, E>(
+    report: RunReport<H, F, E>,
     healthy: impl Fn(H) -> Epoch,
     faulty: impl Fn(F) -> Epoch,
-    mitigated: impl Fn(M) -> Epoch,
 ) -> Run<E> {
     match report {
         RunReport::Healthy { epochs } => {
@@ -380,9 +377,6 @@ fn unify<H, F, M, E>(
         }
         RunReport::Faulty { epochs, error } => {
             RunReport::Faulty { epochs: epochs.into_iter().map(faulty).collect(), error }
-        }
-        RunReport::Mitigated { epochs, error } => {
-            RunReport::Mitigated { epochs: epochs.into_iter().map(mitigated).collect(), error }
         }
         RunReport::Elastic(r) => RunReport::Elastic(r),
         RunReport::Partitioned(r) => RunReport::Partitioned(r),

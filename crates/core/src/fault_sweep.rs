@@ -202,10 +202,8 @@ pub fn mitigation_sweep<F: Family>(
                     .engine(&t.partition, par.engine, TraceSink::disabled())
                     .expect("valid config");
                 let (unmit, _) = engine.run(faults).expect("valid spec").into_faulty();
-                let (mit, _) = engine
-                    .run(&faults.clone().mitigate(policy))
-                    .expect("valid spec")
-                    .into_mitigated();
+                let (mit, _) =
+                    engine.run(&faults.clone().mitigate(policy)).expect("valid spec").into_faulty();
                 let completed = unmit.len().min(mit.len()) as u32;
                 let mut unmitigated_secs = 0.0;
                 let mut mitigated_secs = 0.0;

@@ -45,10 +45,6 @@ pub fn trace_spec(epochs: u32, plan: Option<&FaultPlan>, mitigate: bool) -> RunS
     let mut spec = RunSpec::healthy().epochs(epochs);
     if let Some(plan) = plan {
         spec = spec.faults(plan.clone());
-    } else if mitigate {
-        // The mitigated scenario observes an explicit (empty) plan, like
-        // the pre-RunSpec entry point did.
-        spec = spec.faults(FaultPlan::empty());
     }
     if mitigate {
         spec = spec.mitigate(MitigationPolicy::all());

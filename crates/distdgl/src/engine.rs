@@ -15,8 +15,8 @@ use gp_cluster::trace::counter_names;
 use gp_cluster::{
     charge_loss_retries, compute_time, full_mask, run_until_error, transfer_time, ClusterCounters,
     ClusterSpec, EpochOutcome, FaultCtx, FaultPlan, MitigationPolicy, MitigationReport,
-    RecoveryReport, RestoreOutcome, RunReport, RunSpec, Scenario, ScenarioEngine, ScenarioError,
-    StragglerDetector, TracePhase, TraceSink,
+    NetworkSpec, RecoveryReport, RestoreOutcome, RunReport, RunSpec, Scenario, ScenarioEngine,
+    ScenarioError, StragglerDetector, TracePhase, TraceSink,
 };
 use gp_exec::{par_map, Threads};
 use gp_graph::rng::Rng;
@@ -209,12 +209,14 @@ impl EpochOutcome for EpochSummary {
     }
 }
 
-/// Result of one epoch simulated under a [`FaultPlan`].
+/// Result of one epoch simulated under a [`FaultPlan`], with the
+/// mitigation layer active when the policy arms it.
 ///
 /// `summary.phases` covers the steps actually executed (including the
-/// re-execution of any step lost to a crash); the lost in-flight
-/// attempt, state restore and retry waits are accounted in `recovery`,
-/// so total wall time under faults is
+/// re-execution of any step lost to a crash), with the mitigated phase
+/// times of every step the layer sped up; the lost in-flight attempt,
+/// state restore and retry waits are accounted in `recovery`, so total
+/// wall time under faults is
 /// `summary.epoch_time() + recovery.total_overhead_seconds()` minus the
 /// retry share already inside the phases.
 #[derive(Debug, Clone)]
@@ -227,38 +229,133 @@ pub struct FaultyEpochSummary {
     /// are permanent: survivors absorb the lost training set — graceful
     /// degradation, in contrast to DistGNN's checkpoint/restart).
     pub failed_workers: Vec<u32>,
-}
-
-/// Result of one epoch simulated under a [`FaultPlan`] with the
-/// mitigation layer active. `summary.phases` are the *mitigated* phase
-/// times; `mitigation` itemises what the layer did and what it paid.
-#[derive(Debug, Clone)]
-pub struct MitigatedEpochSummary {
-    /// The epoch summary over executed steps (mitigated phase times).
-    pub summary: EpochSummary,
-    /// What the faults cost beyond the healthy baseline.
-    pub recovery: RecoveryReport,
-    /// What the mitigation layer did this epoch and what it paid.
+    /// What the mitigation layer did this epoch and what it paid; all
+    /// zero unless the policy acted.
     pub mitigation: MitigationReport,
-    /// Workers out of service by the end of this epoch.
-    pub failed_workers: Vec<u32>,
 }
 
 /// Result of [`DistDglEngine::run`]: one [`RunReport`] variant per
 /// resolved [`Scenario`].
-pub type DistDglRunReport =
-    RunReport<EpochSummary, FaultyEpochSummary, MitigatedEpochSummary, DistDglError>;
+pub type DistDglRunReport = RunReport<EpochSummary, FaultyEpochSummary, DistDglError>;
 
-/// Persistent mitigation state for a DistDGL training run: the policy
-/// and the online detector it drives. The [`DistDglEngine::run`]
-/// `Mitigated` scenario creates one per run and threads it through
-/// every epoch — the detector's baselines build up during healthy
-/// epochs and carry across epoch boundaries, exactly like a real
-/// monitor.
+/// Persistent mitigation state for a DistDGL training run: the policy,
+/// the online detector it drives and what the layer did in the epoch
+/// under way. The [`DistDglEngine::run`] `Faulty` scenario creates one
+/// per run when the policy arms work stealing or speculation and
+/// threads it through every epoch — the detector's baselines build up
+/// during healthy epochs and carry across epoch boundaries, exactly
+/// like a real monitor.
 #[derive(Debug, Clone)]
 struct DistDglMitigation {
     policy: MitigationPolicy,
     detector: StragglerDetector,
+    report: MitigationReport,
+}
+
+/// One step's mitigation candidate: the workers whose phases it shrinks
+/// (with the factor), the extra traffic it books on adoption as
+/// `(machine, sent, received)`, and what it did.
+#[derive(Default)]
+struct StepCandidate {
+    scaled: Vec<(usize, f64)>,
+    traffic: Vec<(u32, u64, u64)>,
+    report: MitigationReport,
+}
+
+impl DistDglMitigation {
+    /// Build one step's work-stealing and speculation candidate from the
+    /// detector state and the workers' pre-mitigation step times
+    /// `pre_times` (`active`: the worker has seeds this step); input
+    /// features of `fbytes` each that are local to a worker turn into
+    /// remote fetches on `network` when its work runs elsewhere.
+    fn candidate(
+        &self,
+        batches: &[MiniBatch],
+        pre_times: &[f64],
+        active: &[bool],
+        network: &NetworkSpec,
+        fbytes: u64,
+    ) -> StepCandidate {
+        let local_input_bytes = |w: usize| {
+            (batches[w].stats.input_vertices - batches[w].stats.remote_input_vertices) * fbytes
+        };
+        let mut candidate = StepCandidate::default();
+
+        let mut steal_target = None;
+        if self.policy.work_stealing {
+            let target = (0..batches.len())
+                .filter(|&w| active[w] && self.detector.is_straggler(w as u32))
+                .max_by(|&a, &b| pre_times[a].total_cmp(&pre_times[b]));
+            if let Some(s) = target {
+                let t_s = pre_times[s];
+                let elev = self.detector.elevation(s as u32).max(1.0);
+                let mut helpers: Vec<(usize, f64)> = (0..batches.len())
+                    .filter(|&w| {
+                        w != s
+                            && active[w]
+                            && !self.detector.is_straggler(w as u32)
+                            && pre_times[w] < t_s
+                    })
+                    .map(|w| (w, pre_times[w]))
+                    .collect();
+                helpers.sort_by(|a, b| a.1.total_cmp(&b.1));
+                let helper_times: Vec<f64> = helpers.iter().map(|&(_, t)| t).collect();
+                if t_s > 0.0 {
+                    if let Some((t_eq, m)) = steal_equalized_time(t_s, &helper_times, elev) {
+                        let stolen_frac = 1.0 - t_eq / t_s;
+                        let stolen_bytes = (stolen_frac * local_input_bytes(s) as f64) as u64;
+                        // Each helper fetches its share of the stolen
+                        // inputs before it can work on them.
+                        let fetch = transfer_time(network, stolen_bytes / m as u64, 1);
+                        let finish = t_eq + fetch;
+                        if stolen_frac > 0.0 && finish < t_s {
+                            candidate.scaled.push((s, finish / t_s));
+                            candidate.report.stolen_steps += 1;
+                            candidate.report.stolen_bytes += stolen_bytes;
+                            candidate.traffic.push((s as u32, stolen_bytes, 0));
+                            for &(h, _) in helpers.iter().take(m) {
+                                candidate.traffic.push((h as u32, 0, stolen_bytes / m as u64));
+                            }
+                            steal_target = Some(s);
+                        }
+                    }
+                }
+            }
+        }
+
+        if self.policy.speculation {
+            if let Some(deadline) = self.detector.deadline() {
+                let offender = (0..batches.len())
+                    .filter(|&w| active[w] && steal_target != Some(w) && pre_times[w] > deadline)
+                    .max_by(|&a, &b| pre_times[a].total_cmp(&pre_times[b]));
+                let backup = offender.and_then(|w| {
+                    (0..batches.len())
+                        .filter(|&b| b != w && active[b])
+                        .min_by(|&a, &b| pre_times[a].total_cmp(&pre_times[b]))
+                });
+                if let (Some(w), Some(backup)) = (offender, backup) {
+                    let t_w = pre_times[w];
+                    // The backup re-runs the step at (estimated) nominal
+                    // speed, launching when the deadline passes; it must
+                    // first fetch the inputs local to the offender.
+                    let est = t_w / self.detector.elevation(w as u32).max(1.0);
+                    let spec_bytes = local_input_bytes(w);
+                    let backup_exec = est + transfer_time(network, spec_bytes, 1);
+                    let t_backup = deadline + backup_exec;
+                    if t_backup < t_w {
+                        candidate.scaled.push((w, t_backup / t_w));
+                        candidate.report.speculated_steps += 1;
+                        candidate.report.speculation_wins += 1;
+                        candidate.report.speculation_bytes += spec_bytes;
+                        candidate.report.speculation_wasted_secs += backup_exec;
+                        candidate.traffic.push((w as u32, spec_bytes, 0));
+                        candidate.traffic.push((backup as u32, 0, spec_bytes));
+                    }
+                }
+            }
+        }
+        candidate
+    }
 }
 
 /// Running accumulators of an epoch simulation (shared between the
@@ -751,39 +848,22 @@ impl<'a> DistDglEngine<'a> {
         }
     }
 
-    /// Simulate one step, sampling it first.
-    pub fn simulate_step(
-        &self,
-        epoch: u32,
-        step: usize,
-        counters: &mut ClusterCounters,
-    ) -> StepReport {
-        let batches = self.sample_step(epoch, step);
-        let mut unused = RecoveryReport::default();
-        self.step_inner(&batches, counters, None, &mut unused, step as u32)
-    }
-
-    /// Simulate one step from pre-sampled mini-batches. Spans recorded
-    /// through this entry point carry step index 0 (the caller holds the
-    /// real index; use [`DistDglEngine::simulate_step`] or the epoch
-    /// paths for stepped traces).
-    pub fn simulate_step_from(
-        &self,
-        batches: &[MiniBatch],
-        counters: &mut ClusterCounters,
-    ) -> StepReport {
-        let mut unused = RecoveryReport::default();
-        self.step_inner(batches, counters, None, &mut unused, 0)
-    }
-
     /// Shared step simulation; `faults: None` is the healthy baseline
     /// (bit-identical to the pre-fault implementation).
+    ///
+    /// With a mitigation `session`, a steal/speculation candidate is
+    /// built from the detector state and adopted only when the gated
+    /// step is strictly faster with it; the detector then observes the
+    /// *pre-mitigation* worker times, one observation behind the
+    /// decision, so flags drive the following steps and mitigation never
+    /// masks the fault from its own monitor.
     fn step_inner(
         &self,
         batches: &[MiniBatch],
         counters: &mut ClusterCounters,
         faults: Option<&FaultCtx>,
         recovery: &mut RecoveryReport,
+        session: Option<&mut DistDglMitigation>,
         step: u32,
     ) -> StepReport {
         let cluster = &self.config.cluster;
@@ -793,7 +873,6 @@ impl<'a> DistDglEngine<'a> {
         let live_mask = faults.map_or(full_mask(k), |f| f.live_mask);
         let all_live = live_mask == full_mask(k);
 
-        let mut phases = StepPhases::default();
         let mut worker_times = Vec::with_capacity(k as usize);
         let mut input_vertices = Vec::with_capacity(k as usize);
         let mut remote_vertices = Vec::with_capacity(k as usize);
@@ -802,10 +881,6 @@ impl<'a> DistDglEngine<'a> {
         for (w, batch) in batches.iter().enumerate() {
             let wc = self.worker_step_cost(w as u32, batch, counters, faults, recovery);
             cache_hits += wc.cache_hits;
-            phases.sampling = phases.sampling.max(wc.phases.sampling);
-            phases.feature_load = phases.feature_load.max(wc.phases.feature_load);
-            phases.forward = phases.forward.max(wc.phases.forward);
-            phases.backward = phases.backward.max(wc.phases.backward);
             worker_times.push(wc.phases.sampling + wc.phases.feature_load + wc.phases.forward);
             input_vertices.push(batch.stats.input_vertices);
             remote_vertices.push(batch.stats.remote_input_vertices);
@@ -818,26 +893,62 @@ impl<'a> DistDglEngine<'a> {
         // phase is gated by the slower of the two, not their sum.
         let param_bytes = model_param_count(model) * 4;
         let ar_machines = if all_live { k } else { live_mask.count_ones() };
-        phases.backward = phases.backward.max(gp_cluster::time::allreduce_time(
-            &network,
-            param_bytes,
-            ar_machines,
-        ));
-        for m in 0..k {
-            if all_live || live_mask & (1u64 << m) != 0 {
-                counters.machine_mut(m).send(param_bytes);
-                counters.machine_mut(m).receive(param_bytes);
-            }
-        }
+        let allreduce = gp_cluster::time::allreduce_time(&network, param_bytes, ar_machines);
         // Optimiser update (synchronous; the slowest machine gates it).
         let opt_flops = model_param_count(model) * 10;
-        phases.update = compute_time(&cluster.machine, opt_flops);
+        let mut update = compute_time(&cluster.machine, opt_flops);
         if let Some(f) = faults {
-            phases.update /= f.min_compute_factor;
+            update /= f.min_compute_factor;
         }
+        let mut phases = gate(&costs, &[], allreduce, update);
+
+        if let Some(session) = session {
+            let pre_times: Vec<f64> = costs.iter().map(|c| c.phases.total()).collect();
+            let active: Vec<bool> = batches.iter().map(|b| !b.seeds.is_empty()).collect();
+            let fbytes = self.feature_bytes();
+            let mut candidate = session.candidate(batches, &pre_times, &active, &network, fbytes);
+            let mit = gate(&costs, &candidate.scaled, allreduce, update);
+            if !candidate.traffic.is_empty() && mit.total() < phases.total() {
+                candidate.report.time_saved_secs = phases.total() - mit.total();
+                session.report.merge(&candidate.report);
+                for &(m, sent, received) in &candidate.traffic {
+                    let c = counters.machine_mut(m);
+                    if sent > 0 {
+                        c.send(sent);
+                    }
+                    if received > 0 {
+                        c.receive(received);
+                    }
+                }
+                if self.trace.is_enabled() {
+                    // Cluster-wide mitigation counters (attributed to
+                    // worker 0, like DistGNN's migration span).
+                    let report = &candidate.report;
+                    if report.stolen_steps > 0 {
+                        let bytes = report.stolen_bytes as f64;
+                        self.trace.counter(0, counter_names::STOLEN_BYTES, bytes);
+                    }
+                    if report.speculated_steps > 0 {
+                        let bytes = report.speculation_bytes as f64;
+                        self.trace.counter(0, counter_names::SPECULATION_BYTES, bytes);
+                    }
+                }
+                for &(w, scale) in &candidate.scaled {
+                    let mut p = costs[w].phases;
+                    scale_phases(&mut p, scale);
+                    worker_times[w] = p.sampling + p.feature_load + p.forward;
+                }
+                phases = mit;
+            }
+            session.detector.observe_compute_active(&pre_times, &active);
+        }
+
         for m in 0..k {
             if all_live || live_mask & (1u64 << m) != 0 {
-                counters.machine_mut(m).flops += opt_flops;
+                let c = counters.machine_mut(m);
+                c.send(param_bytes);
+                c.receive(param_bytes);
+                c.flops += opt_flops;
             }
         }
 
@@ -921,9 +1032,9 @@ impl<'a> DistDglEngine<'a> {
     /// maps to exactly one internal path and returns the matching
     /// [`DistDglRunReport`] variant. Elastic, partitioned and stream
     /// scenarios run on the shared scenario driver
-    /// ([`gp_cluster::driver`]). `Faulty` and `Mitigated` runs that hit
-    /// a terminal fault keep the epochs completed so far and record the
-    /// error in the variant ([`DistDglRunReport::strict`] restores
+    /// ([`gp_cluster::driver`]). `Faulty` runs that hit a terminal fault
+    /// keep the epochs completed so far and record the error in the
+    /// variant ([`DistDglRunReport::strict`] restores
     /// fail-fast); `Elastic`/`Partitioned` runs propagate their errors
     /// directly, as the whole-run reports carry no partial state.
     ///
@@ -940,16 +1051,12 @@ impl<'a> DistDglEngine<'a> {
             Scenario::Healthy => Ok(DistDglRunReport::Healthy {
                 epochs: (0..epochs).map(|e| self.healthy_epoch(e)).collect(),
             }),
-            Scenario::Faulty(plan) => {
-                let (epochs, error) = run_until_error(epochs, |e| self.faulty_epoch(e, plan));
-                Ok(DistDglRunReport::Faulty { epochs, error })
-            }
-            Scenario::Mitigated { plan, policy } => {
+            Scenario::Faulty { plan, policy } => {
                 let plan = plan.unwrap_or(&empty_plan);
-                let mut session = self.mitigation(*policy);
+                let mut session = self.mitigation(policy);
                 let (epochs, error) =
-                    run_until_error(epochs, |e| self.mitigated_epoch(e, plan, &mut session));
-                Ok(DistDglRunReport::Mitigated { epochs, error })
+                    run_until_error(epochs, |e| self.faulty_epoch(e, plan, session.as_mut()));
+                Ok(DistDglRunReport::Faulty { epochs, error })
             }
             Scenario::Elastic { faults, elastic } => {
                 driver::run_elastic(self, epochs, faults.unwrap_or(&empty_plan), elastic, None)
@@ -981,14 +1088,23 @@ impl<'a> DistDglEngine<'a> {
     pub fn simulate_epoch_from(&self, sampled: &[Vec<MiniBatch>]) -> EpochSummary {
         let _prof = gp_prof::scope("distdgl.epoch");
         assert!(!sampled.is_empty(), "need at least one sampled step");
-        let k = self.config.cluster.machines;
-        let mut counters = ClusterCounters::new(k);
+        self.epoch_from(sampled, None, &mut RecoveryReport::default())
+    }
+
+    /// One unmitigated epoch over `sampled` on this engine's (possibly
+    /// degraded) store under `faults` (`None`: healthy) — the healthy
+    /// leg and the scenario driver's epochs.
+    fn epoch_from(
+        &self,
+        sampled: &[Vec<MiniBatch>],
+        faults: Option<&FaultCtx>,
+        recovery: &mut RecoveryReport,
+    ) -> EpochSummary {
+        let mut counters = ClusterCounters::new(self.config.cluster.machines);
         self.observe_store_memory(&mut counters);
         let mut acc = EpochAcc::default();
-        let mut unused = RecoveryReport::default();
         for (step, batches) in sampled.iter().enumerate() {
-            let report = self.step_inner(batches, &mut counters, None, &mut unused, step as u32);
-            acc.add(&report);
+            acc.add(&self.step_inner(batches, &mut counters, faults, recovery, None, step as u32));
         }
         acc.into_summary(counters)
     }
@@ -1020,8 +1136,20 @@ impl<'a> DistDglEngine<'a> {
         }
     }
 
-    /// One epoch under a fault plan — the `Faulty` leg of
-    /// [`DistDglEngine::run`].
+    /// A mitigation session for this cluster under `policy`, or `None`
+    /// when the policy arms neither work stealing nor speculation. The
+    /// detector observes per-step worker times (`policy.detector` is
+    /// tuned for that granularity by default).
+    fn mitigation(&self, policy: MitigationPolicy) -> Option<DistDglMitigation> {
+        (policy.work_stealing || policy.speculation).then(|| DistDglMitigation {
+            detector: StragglerDetector::new(self.config.cluster.machines, policy.detector),
+            policy,
+            report: MitigationReport::default(),
+        })
+    }
+
+    /// One epoch under a fault plan, mitigated by `session` when there
+    /// is one — the `Faulty` leg of [`DistDglEngine::run`].
     ///
     /// * **Empty plan** — exactly the healthy epoch with an all-zero
     ///   [`RecoveryReport`]: bit-identical to the healthy baseline.
@@ -1036,6 +1164,16 @@ impl<'a> DistDglEngine<'a> {
     ///   degraded cluster (the epoch may grow longer — the straggler
     ///   rule gates on the survivors' larger training shares).
     ///
+    /// DistDGL's mitigations are **work stealing** (workers that finish
+    /// their mini-batch early absorb a flagged straggler's remaining
+    /// work, paying extra remote fetches for stolen inputs that were
+    /// local to the straggler) and **speculative re-execution** (a
+    /// worker blowing past the detector-derived deadline has its step
+    /// re-launched on the fastest idle worker; the earlier finisher
+    /// wins, the loser's work is wasted). Every per-step decision is
+    /// guarded ([`DistDglEngine::step_inner`]), so a mitigated epoch is
+    /// never slower than the unmitigated one.
+    ///
     /// # Errors
     ///
     /// [`DistDglError::WorkerFailed`] when no survivors remain;
@@ -1045,43 +1183,15 @@ impl<'a> DistDglEngine<'a> {
         &self,
         epoch: u32,
         plan: &FaultPlan,
+        mut session: Option<&mut DistDglMitigation>,
     ) -> Result<FaultyEpochSummary, DistDglError> {
-        self.simulate_epoch_faulty_with(
-            epoch,
-            plan,
-            |eng, batches, counters, ctx, recovery, step| {
-                eng.step_inner(batches, counters, Some(ctx), recovery, step as u32)
-            },
-        )
-    }
-
-    /// Shared fault-epoch skeleton (crash handling, restore accounting,
-    /// budget check); `step` runs each step — the plain path passes
-    /// [`DistDglEngine::step_inner`], the mitigated path
-    /// [`DistDglEngine::step_mitigated`]. The engine handed to `step` is
-    /// the current (possibly degraded, post-crash) cluster.
-    fn simulate_epoch_faulty_with<F>(
-        &self,
-        epoch: u32,
-        plan: &FaultPlan,
-        mut step_fn: F,
-    ) -> Result<FaultyEpochSummary, DistDglError>
-    where
-        F: FnMut(
-            &DistDglEngine<'a>,
-            &[MiniBatch],
-            &mut ClusterCounters,
-            &FaultCtx,
-            &mut RecoveryReport,
-            usize,
-        ) -> StepReport,
-    {
         self.trace.set_epoch(epoch);
         if plan.is_empty() {
             return Ok(FaultyEpochSummary {
                 summary: self.healthy_epoch(epoch),
                 recovery: RecoveryReport::default(),
                 failed_workers: Vec::new(),
+                mitigation: MitigationReport::default(),
             });
         }
         let k = self.config.cluster.machines;
@@ -1113,8 +1223,14 @@ impl<'a> DistDglEngine<'a> {
             .unwrap_or(steps_pre)
             .min(steps_pre);
         for (step, batches) in eng_pre.sample_steps(epoch, 0..crash_step).iter().enumerate() {
-            let report = step_fn(&eng_pre, batches, &mut counters, &ctx, &mut recovery, step);
-            acc.add(&report);
+            acc.add(&eng_pre.step_inner(
+                batches,
+                &mut counters,
+                Some(&ctx),
+                &mut recovery,
+                session.as_deref_mut(),
+                step as u32,
+            ));
         }
 
         let mut failed_workers = failed_prior;
@@ -1179,7 +1295,14 @@ impl<'a> DistDglEngine<'a> {
             let steps_post = eng_post.steps_per_epoch().max(crash_step + 1);
             let sampled = eng_post.sample_steps(epoch, crash_step..steps_post);
             for (step, batches) in (crash_step..).zip(&sampled) {
-                let report = step_fn(&eng_post, batches, &mut counters, &ctx, &mut recovery, step);
+                let report = eng_post.step_inner(
+                    batches,
+                    &mut counters,
+                    Some(&ctx),
+                    &mut recovery,
+                    session.as_deref_mut(),
+                    step as u32,
+                );
                 if step == crash_step {
                     recovery.reexecuted_steps += 1;
                     recovery.reexecution_seconds += report.phases.total();
@@ -1188,6 +1311,7 @@ impl<'a> DistDglEngine<'a> {
             }
         }
 
+        let mitigation = session.map(|s| std::mem::take(&mut s.report)).unwrap_or_default();
         let overhead = recovery.total_overhead_seconds();
         if overhead > plan.recovery_budget_secs {
             return Err(DistDglError::RecoveryBudgetExceeded {
@@ -1196,300 +1320,8 @@ impl<'a> DistDglEngine<'a> {
             });
         }
         failed_workers.sort_unstable();
-        Ok(FaultyEpochSummary { summary: acc.into_summary(counters), recovery, failed_workers })
-    }
-
-    /// One epoch of the elastic run on this engine's (possibly
-    /// degraded) store under `ctx`.
-    fn elastic_epoch(
-        &self,
-        epoch: u32,
-        ctx: &FaultCtx,
-        recovery: &mut RecoveryReport,
-    ) -> EpochSummary {
-        let mut counters = ClusterCounters::new(self.config.cluster.machines);
-        self.observe_store_memory(&mut counters);
-        let mut acc = EpochAcc::default();
-        for (step, batches) in self.sample_epoch(epoch).iter().enumerate() {
-            let report = self.step_inner(batches, &mut counters, Some(ctx), recovery, step as u32);
-            acc.add(&report);
-        }
-        acc.into_summary(counters)
-    }
-
-    /// A fresh mitigation session for this cluster under `policy`. The
-    /// detector observes per-step worker times (`policy.detector` is
-    /// tuned for that granularity by default).
-    fn mitigation(&self, policy: MitigationPolicy) -> DistDglMitigation {
-        DistDglMitigation {
-            detector: StragglerDetector::new(self.config.cluster.machines, policy.detector),
-            policy,
-        }
-    }
-
-    /// One epoch under faults + mitigation — the `Mitigated` leg of
-    /// [`DistDglEngine::run`].
-    ///
-    /// DistDGL's mitigations are **work stealing** (workers that finish
-    /// their mini-batch early absorb a flagged straggler's remaining
-    /// work, paying extra remote fetches for stolen inputs that were
-    /// local to the straggler) and **speculative re-execution** (a
-    /// worker blowing past the detector-derived deadline has its step
-    /// re-launched on the fastest idle worker; the earlier finisher
-    /// wins, the loser's work is wasted). Every per-step decision is
-    /// guarded: the mitigated step is adopted only when strictly faster
-    /// than the unmitigated one, so a mitigated epoch is never slower
-    /// than the plain fault path. The detector only ever sees the
-    /// *pre-mitigation* worker times — mitigation must not mask the
-    /// fault from its own monitor.
-    ///
-    /// With an empty plan, or a policy enabling neither mechanism, this
-    /// is exactly [`DistDglEngine::faulty_epoch`], bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DistDglEngine::faulty_epoch`].
-    fn mitigated_epoch(
-        &self,
-        epoch: u32,
-        plan: &FaultPlan,
-        session: &mut DistDglMitigation,
-    ) -> Result<MitigatedEpochSummary, DistDglError> {
-        if plan.is_empty() || (!session.policy.work_stealing && !session.policy.speculation) {
-            let base = self.faulty_epoch(epoch, plan)?;
-            return Ok(MitigatedEpochSummary {
-                summary: base.summary,
-                recovery: base.recovery,
-                mitigation: MitigationReport::default(),
-                failed_workers: base.failed_workers,
-            });
-        }
-        let mut mitigation = MitigationReport::default();
-        let base = self.simulate_epoch_faulty_with(
-            epoch,
-            plan,
-            |eng, batches, counters, ctx, recovery, step| {
-                eng.step_mitigated(
-                    batches,
-                    counters,
-                    ctx,
-                    recovery,
-                    session,
-                    &mut mitigation,
-                    step as u32,
-                )
-            },
-        )?;
-        Ok(MitigatedEpochSummary {
-            summary: base.summary,
-            recovery: base.recovery,
-            mitigation,
-            failed_workers: base.failed_workers,
-        })
-    }
-
-    /// One mitigated step: computes every worker's cost exactly as
-    /// [`DistDglEngine::step_inner`] would (same counter bookings, same
-    /// fold order), builds a steal/speculation candidate from the
-    /// detector state, and adopts it only if strictly faster.
-    #[allow(clippy::too_many_arguments)]
-    fn step_mitigated(
-        &self,
-        batches: &[MiniBatch],
-        counters: &mut ClusterCounters,
-        ctx: &FaultCtx,
-        recovery: &mut RecoveryReport,
-        session: &mut DistDglMitigation,
-        mitigation: &mut MitigationReport,
-        step: u32,
-    ) -> StepReport {
-        let cluster = &self.config.cluster;
-        let network = ctx.network;
-        let model = &self.config.model;
-        let k = cluster.machines;
-        let fbytes = 4 * model.feature_dim as u64;
-
-        let mut costs: Vec<WorkerCost> = Vec::with_capacity(batches.len());
-        let mut cache_hits = 0u64;
-        for (w, batch) in batches.iter().enumerate() {
-            let wc = self.worker_step_cost(w as u32, batch, counters, Some(ctx), recovery);
-            cache_hits += wc.cache_hits;
-            costs.push(wc);
-        }
-        let wps: Vec<StepPhases> = costs.iter().map(|c| c.phases).collect();
-        let active: Vec<bool> = batches.iter().map(|b| !b.seeds.is_empty()).collect();
-        let pre_times: Vec<f64> = wps.iter().map(StepPhases::total).collect();
-        // Input features local to worker `w` — the bytes that turn into
-        // remote fetches when its work runs somewhere else.
-        let local_input_bytes = |w: usize| {
-            (batches[w].stats.input_vertices - batches[w].stats.remote_input_vertices) * fbytes
-        };
-
-        // Build the mitigation candidate on a copy of the per-worker
-        // phases; counter bookings are deferred until adoption.
-        let mut mit_wps = wps.clone();
-        let mut candidate = MitigationReport::default();
-        let mut extra_traffic: Vec<(u32, u64, u64)> = Vec::new(); // (machine, sent, received)
-
-        let mut steal_target = None;
-        if session.policy.work_stealing {
-            let target = (0..batches.len())
-                .filter(|&w| active[w] && session.detector.is_straggler(w as u32))
-                .max_by(|&a, &b| pre_times[a].total_cmp(&pre_times[b]));
-            if let Some(s) = target {
-                let t_s = pre_times[s];
-                let elev = session.detector.elevation(s as u32).max(1.0);
-                let mut helpers: Vec<(usize, f64)> = (0..batches.len())
-                    .filter(|&w| {
-                        w != s
-                            && active[w]
-                            && !session.detector.is_straggler(w as u32)
-                            && pre_times[w] < t_s
-                    })
-                    .map(|w| (w, pre_times[w]))
-                    .collect();
-                helpers.sort_by(|a, b| a.1.total_cmp(&b.1));
-                let helper_times: Vec<f64> = helpers.iter().map(|&(_, t)| t).collect();
-                if t_s > 0.0 {
-                    if let Some((t_eq, m)) = steal_equalized_time(t_s, &helper_times, elev) {
-                        let stolen_frac = 1.0 - t_eq / t_s;
-                        let stolen_bytes = (stolen_frac * local_input_bytes(s) as f64) as u64;
-                        // Each helper fetches its share of the stolen
-                        // inputs before it can work on them.
-                        let fetch = transfer_time(&network, stolen_bytes / m as u64, 1);
-                        let finish = t_eq + fetch;
-                        if stolen_frac > 0.0 && finish < t_s {
-                            scale_phases(&mut mit_wps[s], finish / t_s);
-                            candidate.stolen_steps += 1;
-                            candidate.stolen_bytes += stolen_bytes;
-                            extra_traffic.push((s as u32, stolen_bytes, 0));
-                            for &(h, _) in helpers.iter().take(m) {
-                                extra_traffic.push((h as u32, 0, stolen_bytes / m as u64));
-                            }
-                            steal_target = Some(s);
-                        }
-                    }
-                }
-            }
-        }
-
-        if session.policy.speculation {
-            if let Some(deadline) = session.detector.deadline() {
-                let offender = (0..batches.len())
-                    .filter(|&w| active[w] && steal_target != Some(w) && pre_times[w] > deadline)
-                    .max_by(|&a, &b| pre_times[a].total_cmp(&pre_times[b]));
-                let backup = offender.and_then(|w| {
-                    (0..batches.len())
-                        .filter(|&b| b != w && active[b])
-                        .min_by(|&a, &b| pre_times[a].total_cmp(&pre_times[b]))
-                });
-                if let (Some(w), Some(backup)) = (offender, backup) {
-                    let t_w = pre_times[w];
-                    // The backup re-runs the step at (estimated) nominal
-                    // speed, launching when the deadline passes; it must
-                    // first fetch the inputs local to the offender.
-                    let est = t_w / session.detector.elevation(w as u32).max(1.0);
-                    let spec_bytes = local_input_bytes(w);
-                    let backup_exec = est + transfer_time(&network, spec_bytes, 1);
-                    let t_backup = deadline + backup_exec;
-                    if t_backup < t_w {
-                        scale_phases(&mut mit_wps[w], t_backup / t_w);
-                        candidate.speculated_steps += 1;
-                        candidate.speculation_wins += 1;
-                        candidate.speculation_bytes += spec_bytes;
-                        candidate.speculation_wasted_secs += backup_exec;
-                        extra_traffic.push((w as u32, spec_bytes, 0));
-                        extra_traffic.push((backup as u32, 0, spec_bytes));
-                    }
-                }
-            }
-        }
-
-        // Gate both variants with step_inner's exact fold order, then
-        // adopt the candidate only if strictly faster.
-        let gate = |wps: &[StepPhases]| {
-            let mut phases = StepPhases::default();
-            for wp in wps {
-                phases.sampling = phases.sampling.max(wp.sampling);
-                phases.feature_load = phases.feature_load.max(wp.feature_load);
-                phases.forward = phases.forward.max(wp.forward);
-                phases.backward = phases.backward.max(wp.backward);
-            }
-            let param_bytes = model_param_count(model) * 4;
-            phases.backward =
-                phases.backward.max(gp_cluster::time::allreduce_time(&network, param_bytes, k));
-            phases.update = compute_time(&cluster.machine, model_param_count(model) * 10);
-            phases.update /= ctx.min_compute_factor;
-            phases
-        };
-        let unmit = gate(&wps);
-        let mit = gate(&mit_wps);
-        let adopted = !extra_traffic.is_empty() && mit.total() < unmit.total();
-        let (phases, chosen) = if adopted {
-            candidate.time_saved_secs = unmit.total() - mit.total();
-            mitigation.merge(&candidate);
-            for &(m, sent, received) in &extra_traffic {
-                let c = counters.machine_mut(m);
-                if sent > 0 {
-                    c.send(sent);
-                }
-                if received > 0 {
-                    c.receive(received);
-                }
-            }
-            if self.trace.is_enabled() {
-                // Cluster-wide mitigation counters (attributed to worker
-                // 0, like DistGNN's migration span).
-                if candidate.stolen_steps > 0 {
-                    self.trace.counter(
-                        0,
-                        counter_names::STOLEN_BYTES,
-                        candidate.stolen_bytes as f64,
-                    );
-                }
-                if candidate.speculated_steps > 0 {
-                    self.trace.counter(
-                        0,
-                        counter_names::SPECULATION_BYTES,
-                        candidate.speculation_bytes as f64,
-                    );
-                }
-            }
-            (mit, &mit_wps)
-        } else {
-            (unmit, &wps)
-        };
-
-        // Epoch-level bookings identical to step_inner.
-        let param_bytes = model_param_count(model) * 4;
-        for m in 0..k {
-            counters.machine_mut(m).send(param_bytes);
-            counters.machine_mut(m).receive(param_bytes);
-        }
-        let opt_flops = model_param_count(model) * 10;
-        for m in 0..k {
-            counters.machine_mut(m).flops += opt_flops;
-        }
-
-        let mut worker_times = Vec::with_capacity(batches.len());
-        let mut input_vertices = Vec::with_capacity(batches.len());
-        let mut remote_vertices = Vec::with_capacity(batches.len());
-        for (w, batch) in batches.iter().enumerate() {
-            worker_times.push(chosen[w].sampling + chosen[w].feature_load + chosen[w].forward);
-            input_vertices.push(batch.stats.input_vertices);
-            remote_vertices.push(batch.stats.remote_input_vertices);
-        }
-
-        // The detector sees the *pre-mitigation* signals, after the
-        // decision: flags drive the following steps, one observation
-        // behind, and mitigation never masks the fault from its own
-        // monitor.
-        session.detector.observe_compute_active(&pre_times, &active);
-
-        self.emit_step_spans(step, &phases, &costs, param_bytes, opt_flops, ctx.live_mask);
-        self.emit_traffic_counters(counters);
-
-        StepReport { phases, worker_times, input_vertices, remote_vertices, cache_hits }
+        let summary = acc.into_summary(counters);
+        Ok(FaultyEpochSummary { summary, recovery, failed_workers, mitigation })
     }
 }
 
@@ -1535,7 +1367,8 @@ impl ScenarioEngine for DistDglEngine<'_> {
         traced: bool,
     ) -> EpochSummary {
         let trace = if traced { self.trace.clone() } else { TraceSink::disabled() };
-        self.with_store(layout.clone(), trace).elastic_epoch(epoch, ctx, recovery)
+        let engine = self.with_store(layout.clone(), trace);
+        engine.epoch_from(&engine.sample_epoch(epoch), Some(ctx), recovery)
     }
 
     fn counters(epoch: &EpochSummary) -> &ClusterCounters {
@@ -1826,6 +1659,28 @@ fn steal_equalized_time(t_s: f64, helper_times: &[f64], elev: f64) -> Option<(f6
     None
 }
 
+/// The straggler gate of one step: each phase takes the slowest
+/// worker's time, with the workers of a mitigation candidate's `scaled`
+/// list shrunk by their factor; the all-reduce gates backward with the
+/// slowest worker's backward compute, and the optimiser update closes
+/// the step.
+fn gate(costs: &[WorkerCost], scaled: &[(usize, f64)], allreduce: f64, update: f64) -> StepPhases {
+    let mut phases = StepPhases::default();
+    for (w, wc) in costs.iter().enumerate() {
+        let mut p = wc.phases;
+        if let Some(&(_, scale)) = scaled.iter().find(|&&(s, _)| s == w) {
+            scale_phases(&mut p, scale);
+        }
+        phases.sampling = phases.sampling.max(p.sampling);
+        phases.feature_load = phases.feature_load.max(p.feature_load);
+        phases.forward = phases.forward.max(p.forward);
+        phases.backward = phases.backward.max(p.backward);
+    }
+    phases.backward = phases.backward.max(allreduce);
+    phases.update = update;
+    phases
+}
+
 /// Uniformly shrink a worker's per-step phases (its `update` share is
 /// zero — the optimiser is booked at step level).
 fn scale_phases(p: &mut StepPhases, scale: f64) {
@@ -1926,9 +1781,9 @@ mod tests {
         epochs: u32,
         plan: &FaultPlan,
         policy: MitigationPolicy,
-    ) -> Vec<MitigatedEpochSummary> {
+    ) -> Vec<FaultyEpochSummary> {
         let spec = RunSpec::healthy().epochs(epochs).faults(plan.clone()).mitigate(policy);
-        let (out, error) = e.run(&spec).unwrap().into_mitigated();
+        let (out, error) = e.run(&spec).unwrap().into_faulty();
         assert!(error.is_none(), "{error:?}");
         out
     }
@@ -2343,7 +2198,7 @@ mod tests {
         assert!(matches!(error, Some(DistDglError::WorkerFailed { .. })));
         // Later epochs see all workers dead from the start (the run
         // stops at the first failure, so price epoch 2 on its own).
-        assert!(matches!(e.faulty_epoch(2, &plan), Err(DistDglError::WorkerFailed { .. })));
+        assert!(matches!(e.faulty_epoch(2, &plan, None), Err(DistDglError::WorkerFailed { .. })));
     }
 
     #[test]
@@ -2417,19 +2272,58 @@ mod tests {
             .config(cfg(4, 32, 32, 2, ModelKind::Sage))
             .build()
             .unwrap();
-        let plan = slowdown_plan(1, 0.25, 0, 3);
-        let plain = faulty(&e, 4, &plan).0;
-        let mit = mitigated(&e, 4, &plan, MitigationPolicy::none());
-        assert_eq!(mit.len(), 4);
-        for (mit, plain) in mit.iter().zip(&plain) {
-            assert_eq!(mit.summary.phases, plain.summary.phases);
-            assert_eq!(mit.summary.counters, plain.summary.counters);
-            assert_eq!(mit.mitigation, MitigationReport::default());
+        for plan in [slowdown_plan(1, 0.25, 0, 3), crash_plan(2, 1, 0.5)] {
+            let plain = faulty(&e, 4, &plan).0;
+            let none = mitigated(&e, 4, &plan, MitigationPolicy::none());
+            assert_eq!(none.len(), 4);
+            for (none, plain) in none.iter().zip(&plain) {
+                let (a, b) = (none.summary.epoch_time(), plain.summary.epoch_time());
+                assert_eq!(a.to_bits(), b.to_bits());
+                assert_eq!(none.summary.phases, plain.summary.phases);
+                assert_eq!(none.summary.counters, plain.summary.counters);
+                assert_eq!(none.recovery, plain.recovery);
+                assert_eq!(none.failed_workers, plain.failed_workers);
+                assert_eq!(none.mitigation, MitigationReport::default());
+                assert_eq!(plain.mitigation, MitigationReport::default());
+            }
+            // DistDGL has no adaptive cd-r: the adaptive-only policy also
+            // falls through to the plain path.
+            let adaptive = mitigated(&e, 2, &plan, MitigationPolicy::adaptive());
+            assert_eq!(adaptive[1].summary.phases, plain[1].summary.phases);
         }
-        // DistDGL has no adaptive cd-r: the adaptive-only policy also
-        // falls through to the plain path.
-        let adaptive = mitigated(&e, 2, &plan, MitigationPolicy::adaptive());
-        assert_eq!(adaptive[1].summary.phases, plain[1].summary.phases);
+    }
+
+    /// What the fixed-fleet fault leg shares with the scenario driver:
+    /// without crashes or churn, both price the same steps and retries
+    /// (crash recovery differs, see DESIGN.md).
+    #[test]
+    fn crash_free_faulty_run_equals_the_empty_churn_elastic_run() {
+        let (g, rnd, _, split) = setup(4);
+        let e = DistDglEngine::builder(&g, &rnd, &split)
+            .config(cfg(4, 32, 32, 2, ModelKind::Sage))
+            .build()
+            .unwrap();
+        let spec = gp_cluster::FaultSpec {
+            crash_mtbf_epochs: 0.0,
+            ..gp_cluster::FaultSpec::standard(4, 10, 2.0, 2)
+        };
+        let plan = FaultPlan::generate(&spec);
+        let (fixed, error) = faulty(&e, 10, &plan);
+        assert!(error.is_none(), "{error:?}");
+        let ckpt = CheckpointConfig::default();
+        let run = elastic(&e, 10, &plan, &ChurnPlan::empty(), ckpt, ElasticOptions::default());
+        assert_eq!(run.completed_epochs, 10);
+        let mut recovery = RecoveryReport::default();
+        let mut total = 0.0;
+        for (f, &secs) in fixed.iter().zip(&run.epoch_seconds) {
+            assert_eq!(f.summary.epoch_time().to_bits(), secs.to_bits());
+            recovery.merge(&f.recovery);
+            total += f.summary.epoch_time() + f.recovery.total_overhead_seconds();
+        }
+        assert!(recovery.retries > 0, "the plan drops messages");
+        assert_eq!(recovery.retries, run.recovery.retries);
+        assert_eq!(recovery.checkpoints, run.recovery.checkpoints);
+        assert!((total - run.total_seconds()).abs() <= 1e-12 * total);
     }
 
     #[test]
@@ -2439,15 +2333,15 @@ mod tests {
         c.global_batch_size = 32; // many steps per epoch: room to detect and react
         let e = DistDglEngine::builder(&g, &rnd, &split).config(c).build().unwrap();
         let plan = slowdown_plan(1, 0.25, 1, 6);
-        let mut session = e.mitigation(MitigationPolicy::steal());
+        let mut session = e.mitigation(MitigationPolicy::steal()).expect("steal arms a session");
         let mut unmit_total = 0.0;
         let mut mit_total = 0.0;
         let mut report = MitigationReport::default();
         // The session's detector is inspected below, so this drives the
-        // `Mitigated` leg of `run` epoch by epoch.
+        // `Faulty` leg of `run` epoch by epoch.
         for epoch in 0..6 {
-            unmit_total += e.faulty_epoch(epoch, &plan).unwrap().summary.epoch_time();
-            let mit = e.mitigated_epoch(epoch, &plan, &mut session).unwrap();
+            unmit_total += e.faulty_epoch(epoch, &plan, None).unwrap().summary.epoch_time();
+            let mit = e.faulty_epoch(epoch, &plan, Some(&mut session)).unwrap();
             mit_total += mit.summary.epoch_time();
             report.merge(&mit.mitigation);
         }
@@ -2503,8 +2397,8 @@ mod tests {
         let plan = FaultPlan::generate(&gp_cluster::FaultSpec::standard(4, 8, 4.0, 0xfa11));
         let spec =
             RunSpec::healthy().epochs(8).faults(plan.clone()).mitigate(MitigationPolicy::all());
-        let (a, error_a) = e.run(&spec).unwrap().into_mitigated();
-        let (b, error_b) = e.run(&spec).unwrap().into_mitigated();
+        let (a, error_a) = e.run(&spec).unwrap().into_faulty();
+        let (b, error_b) = e.run(&spec).unwrap().into_faulty();
         assert_eq!(format!("{error_a:?}"), format!("{error_b:?}"), "runs must agree on success");
         assert_eq!(a.len(), b.len());
         let unmit = faulty(&e, 8, &plan).0;
@@ -2686,7 +2580,7 @@ mod tests {
         for epoch in 0..3 {
             // Per-epoch accounting: run's epoch leg, sink cleared in between.
             sink.clear();
-            let faulty = e.faulty_epoch(epoch, &plan).unwrap();
+            let faulty = e.faulty_epoch(epoch, &plan, None).unwrap();
             assert_span_accounting(&sink, 4, &faulty.summary.phases);
             let recovery_spans: Vec<Span> =
                 sink.spans().into_iter().filter(|s| s.phase == TracePhase::Recovery).collect();
@@ -2716,12 +2610,12 @@ mod tests {
         let e =
             DistDglEngine::builder(&g, &rnd, &split).config(c).trace(sink.clone()).build().unwrap();
         let plan = slowdown_plan(1, 0.25, 1, 6);
-        let mut session = e.mitigation(MitigationPolicy::steal());
+        let mut session = e.mitigation(MitigationPolicy::steal()).expect("steal arms a session");
         let mut stolen = 0;
         for epoch in 0..6 {
             // Per-epoch accounting: run's epoch leg, sink cleared in between.
             sink.clear();
-            let mit = e.mitigated_epoch(epoch, &plan, &mut session).unwrap();
+            let mit = e.faulty_epoch(epoch, &plan, Some(&mut session)).unwrap();
             assert_span_accounting(&sink, 4, &mit.summary.phases);
             if mit.mitigation.stolen_steps > 0 {
                 assert!(
@@ -2806,7 +2700,7 @@ mod tests {
         for epoch in 0..3 {
             // Per-epoch accounting: run's epoch leg, sink cleared in between.
             sink.clear();
-            let faulty = e.faulty_epoch(epoch, &plan).unwrap();
+            let faulty = e.faulty_epoch(epoch, &plan, None).unwrap();
             assert_metrics_accounting(&sink, 4, &faulty.summary.phases);
             // Per-path counter pinning: the crash epoch adds exactly the
             // recovery counter (one sample per receiving survivor).
@@ -2837,12 +2731,12 @@ mod tests {
         let e =
             DistDglEngine::builder(&g, &rnd, &split).config(c).trace(sink.clone()).build().unwrap();
         let plan = slowdown_plan(1, 0.25, 1, 6);
-        let mut session = e.mitigation(MitigationPolicy::steal());
+        let mut session = e.mitigation(MitigationPolicy::steal()).expect("steal arms a session");
         let mut stolen = 0;
         for epoch in 0..6 {
             // Per-epoch accounting: run's epoch leg, sink cleared in between.
             sink.clear();
-            let mit = e.mitigated_epoch(epoch, &plan, &mut session).unwrap();
+            let mit = e.faulty_epoch(epoch, &plan, Some(&mut session)).unwrap();
             assert_metrics_accounting(&sink, 4, &mit.summary.phases);
             // Per-path counter pinning: the steal policy adds exactly
             // the stolen-bytes counter on adopting epochs.

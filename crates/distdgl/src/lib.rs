@@ -43,7 +43,7 @@ pub mod train;
 
 pub use engine::{
     DistDglConfig, DistDglEngine, DistDglEngineBuilder, DistDglRunReport, EpochSummary,
-    FaultyEpochSummary, MitigatedEpochSummary, StepPhases, StepReport,
+    FaultyEpochSummary, StepPhases, StepReport,
 };
 pub use error::DistDglError;
 pub use sampler::{MiniBatch, SampleStats};

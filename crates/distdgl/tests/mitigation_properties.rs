@@ -89,7 +89,7 @@ fn mitigated_never_worse_and_deterministic_under_slowdowns() {
         let faulty = RunSpec::healthy().epochs(EPOCHS).faults(slowdown_plan(&mut rng));
         let mitigated = faulty.clone().mitigate(policy(&mut rng));
         let unmit = run(&faulty).into_faulty().0;
-        let (a, b) = (run(&mitigated).into_mitigated().0, run(&mitigated).into_mitigated().0);
+        let (a, b) = (run(&mitigated).into_faulty().0, run(&mitigated).into_faulty().0);
         assert_eq!(a.len(), EPOCHS as usize, "seed {seed}");
         for (epoch, ((a, b), unmit)) in a.iter().zip(&b).zip(&unmit).enumerate() {
             assert!(
@@ -115,7 +115,7 @@ fn empty_plan_mitigated_is_bit_identical() {
         let healthy = RunSpec::healthy().epochs(1 + rng.below(3) as u32);
         let base = engine.run(&healthy).unwrap().into_healthy();
         let spec = healthy.faults(FaultPlan::empty()).mitigate(policy);
-        let (mit, error) = engine.run(&spec).unwrap().into_mitigated();
+        let (mit, error) = engine.run(&spec).unwrap().into_faulty();
         assert!(error.is_none(), "seed {seed}");
         assert_eq!(mit.len(), base.len(), "seed {seed}");
         for (m, b) in mit.iter().zip(&base) {

@@ -8,7 +8,7 @@ use gp_cluster::{
     charge_loss_retries, compute_time, full_mask, run_until_error, transfer_time, ClusterCounters,
     ClusterSpec, DetectorConfig, EpochOutcome, FaultCtx, FaultPlan, MitigationPolicy,
     MitigationReport, RecoveryReport, RunReport, RunSpec, Scenario, ScenarioEngine, ScenarioError,
-    StragglerDetector, TracePhase, TraceSink,
+    StragglerDetector, TracePhase, TraceSink, DEFAULT_CHECKPOINT_BW,
 };
 use gp_exec::{par_map, Threads};
 use gp_graph::{Graph, MutationBatch};
@@ -57,11 +57,6 @@ impl DistGnnConfig {
         DistGnnConfig { model, cluster, sync_period: 1, checkpoint_every: 0 }
     }
 }
-
-/// Sustained local-storage bandwidth for checkpoint writes and restores
-/// (bytes/second) — a commodity SATA SSD, matching the paper's testbed
-/// era.
-const CHECKPOINT_BW: f64 = 5e8;
 
 /// Resident training state per covered vertex: input features plus one
 /// intermediate representation per layer, in bytes. This is what replica
@@ -161,12 +156,14 @@ impl EpochOutcome for EpochReport {
     }
 }
 
-/// Result of one epoch simulated under a [`FaultPlan`]: the epoch
-/// report (fault-adjusted phase times and counters, including recovery
-/// traffic) plus the recovery accounting.
+/// Result of one epoch simulated under a [`FaultPlan`] with a
+/// [`MitigationPolicy`] applied: the adopted epoch (mitigated when it
+/// was cheaper, unmitigated otherwise — mitigation never makes an epoch
+/// worse) with fault-adjusted phase times and counters, including
+/// recovery traffic, plus the recovery and mitigation accounting.
 #[derive(Debug, Clone)]
 pub struct FaultyEpochReport {
-    /// The epoch report, with fault-adjusted times and counters.
+    /// The adopted epoch report, with fault-adjusted times and counters.
     pub report: EpochReport,
     /// What the faults cost beyond the healthy baseline.
     pub recovery: RecoveryReport,
@@ -174,34 +171,20 @@ pub struct FaultyEpochReport {
     /// replacement before the next epoch — checkpoint/restart
     /// semantics, in contrast to DistDGL's graceful degradation).
     pub crashed_machines: Vec<u32>,
-}
-
-/// Result of one epoch simulated under a [`FaultPlan`] with a
-/// [`MitigationPolicy`] applied: the adopted epoch (mitigated when it
-/// was cheaper, unmitigated otherwise — mitigation never makes an epoch
-/// worse) plus the mitigation accounting for this epoch.
-#[derive(Debug, Clone)]
-pub struct MitigatedEpochReport {
-    /// The adopted epoch report.
-    pub report: EpochReport,
-    /// Fault-recovery accounting of the adopted epoch.
-    pub recovery: RecoveryReport,
-    /// Machines that crashed during this epoch.
-    pub crashed_machines: Vec<u32>,
-    /// What mitigation did (and cost) this epoch.
+    /// What mitigation did (and cost) this epoch; all zero unless the
+    /// policy acted.
     pub mitigation: MitigationReport,
 }
 
 /// Result of [`DistGnnEngine::run`]: one [`RunReport`] variant per
 /// resolved [`Scenario`].
-pub type DistGnnRunReport =
-    RunReport<EpochReport, FaultyEpochReport, MitigatedEpochReport, DistGnnError>;
+pub type DistGnnRunReport = RunReport<EpochReport, FaultyEpochReport, DistGnnError>;
 
 /// Cross-epoch state of DistGNN's mitigation layer: the per-epoch
 /// straggler/degradation detector plus the adaptations it has enacted
 /// (current cd-r period, machines the master role has been migrated away
-/// from). The [`DistGnnEngine::run`] `Mitigated` scenario creates one
-/// per run and passes it to every mitigated epoch in epoch order.
+/// from). The [`DistGnnEngine::run`] `Faulty` scenario creates one per
+/// run and passes it to every epoch in epoch order.
 #[derive(Debug, Clone)]
 struct DistGnnMitigation {
     policy: MitigationPolicy,
@@ -397,8 +380,8 @@ impl<'a> DistGnnEngine<'a> {
     /// report variant. Elastic, partitioned and stream scenarios run on
     /// the shared scenario driver ([`gp_cluster::driver`]).
     ///
-    /// `Faulty`/`Mitigated` scenarios truncate on an unrecoverable
-    /// fault instead of erroring: completed epochs are kept and the
+    /// The `Faulty` scenario truncates on an unrecoverable fault instead
+    /// of erroring: completed epochs are kept and the
     /// error is recorded in the variant (chain
     /// [`DistGnnRunReport::strict`] to propagate it instead).
     ///
@@ -416,16 +399,12 @@ impl<'a> DistGnnEngine<'a> {
                 let out = (0..epochs).map(|e| self.healthy_epoch(e)).collect();
                 Ok(DistGnnRunReport::Healthy { epochs: out })
             }
-            Scenario::Faulty(plan) => {
-                let (epochs, error) = run_until_error(epochs, |e| self.faulty_epoch(e, plan));
-                Ok(DistGnnRunReport::Faulty { epochs, error })
-            }
-            Scenario::Mitigated { plan, policy } => {
+            Scenario::Faulty { plan, policy } => {
                 let plan = plan.unwrap_or(&empty_plan);
-                let mut session = self.mitigation(*policy);
+                let mut session = self.mitigation(policy);
                 let (epochs, error) =
-                    run_until_error(epochs, |e| self.mitigated_epoch(e, plan, &mut session));
-                Ok(DistGnnRunReport::Mitigated { epochs, error })
+                    run_until_error(epochs, |e| self.faulty_epoch(e, plan, &mut session));
+                Ok(DistGnnRunReport::Faulty { epochs, error })
             }
             Scenario::Elastic { faults, elastic } => {
                 driver::run_elastic(self, epochs, faults.unwrap_or(&empty_plan), elastic, None)
@@ -732,29 +711,56 @@ impl<'a> DistGnnEngine<'a> {
         EpochReport { phases, counters, memory, oom_machines }
     }
 
-    /// Replica masks of the vertices `machine` holds (its replica set
-    /// `V(p)`), in vertex order.
-    fn replica_masks_on(&self, machine: u32) -> impl Iterator<Item = u64> + '_ {
-        (0..self.partition.num_vertices())
-            .map(|v| self.partition.replica_mask(v))
-            .filter(move |mask| mask >> machine & 1 != 0)
+    /// Walk `machine`'s replica set `V(p)` — the vertices whose replica
+    /// mask holds it, fixed by the edge partition and identical under
+    /// any master reassignment — in vertex order. A vertex with another
+    /// replica in `active` is re-fetched from the lowest such machine,
+    /// which `fetch` is handed; the rest are unreplicated. Returns the
+    /// re-fetched vertex count, the mask of their source machines and the
+    /// unreplicated vertex count.
+    fn replica_walk(
+        &self,
+        machine: u32,
+        active: u64,
+        mut fetch: impl FnMut(u32),
+    ) -> (u64, u64, u64) {
+        let (mut fetched, mut sources, mut unreplicated) = (0u64, 0u64, 0u64);
+        for v in 0..self.partition.num_vertices() {
+            let mask = self.partition.replica_mask(v);
+            if mask >> machine & 1 == 0 {
+                continue;
+            }
+            let live = mask & !(1u64 << machine) & active;
+            if live != 0 {
+                let src = live.trailing_zeros();
+                fetch(src);
+                fetched += 1;
+                sources |= 1u64 << src;
+            } else {
+                unreplicated += 1;
+            }
+        }
+        (fetched, sources, unreplicated)
     }
 
-    /// Simulated wall time of one checkpoint: every machine persists the
-    /// model (parameters + optimiser moments) and its replica state to
-    /// local storage in parallel; the barrier waits for the largest
-    /// replica set.
-    pub fn checkpoint_seconds(&self, model: &ModelConfig) -> f64 {
-        let model_bytes = model_param_count(model) * 4 * 3;
-        let state = per_vertex_state_bytes(model);
-        self.views
-            .iter()
-            .map(|v| (model_bytes + v.local_vertices * state) as f64 / CHECKPOINT_BW)
-            .fold(0.0, f64::max)
+    /// Bytes `view`'s machine checkpoints: the model (parameters +
+    /// optimiser moments) and its replica state.
+    fn shard_bytes_of(&self, view: &PartitionView) -> u64 {
+        let model = &self.config.model;
+        model_param_count(model) * 4 * 3 + view.local_vertices * per_vertex_state_bytes(model)
     }
 
-    /// One epoch under a fault plan — the `Faulty` leg of
-    /// [`DistGnnEngine::run`].
+    /// Simulated wall time of one checkpoint: every machine persists its
+    /// shard to local storage in parallel; the barrier waits for the
+    /// largest.
+    fn checkpoint_seconds(&self) -> f64 {
+        let largest = self.views.iter().map(|v| self.shard_bytes_of(v)).max().unwrap_or(0);
+        largest as f64 / DEFAULT_CHECKPOINT_BW
+    }
+
+    /// One unmitigated epoch under a fault plan on the given views (which
+    /// carry the master assignment) and cd-r period, recording to `sink`
+    /// — the mitigation layer prices its candidate epochs through it.
     ///
     /// * **Empty plan** — exactly the healthy epoch with an all-zero
     ///   [`RecoveryReport`]: bit-identical to the healthy baseline.
@@ -774,21 +780,6 @@ impl<'a> DistGnnEngine<'a> {
     /// [`DistGnnError::WorkerFailed`] if a crash is unrecoverable (single
     /// machine, no checkpointing); [`DistGnnError::RecoveryBudgetExceeded`]
     /// if the accumulated overhead passes the plan's budget.
-    fn faulty_epoch(
-        &self,
-        epoch: u32,
-        plan: &FaultPlan,
-    ) -> Result<FaultyEpochReport, DistGnnError> {
-        self.trace.set_epoch(epoch);
-        self.faulty_epoch_on(epoch, plan, &self.views, self.config.sync_period, &self.trace)
-    }
-
-    /// [`DistGnnEngine::faulty_epoch`] parameterised over
-    /// the views (which carry the master assignment) and cd-r period, so
-    /// the mitigation layer can price an epoch under its adapted state.
-    /// Crash recovery walks the crashed machine's replica set — the
-    /// vertices whose `replica_mask` holds it — which is fixed by the
-    /// edge partition and identical under any master reassignment.
     fn faulty_epoch_on(
         &self,
         epoch: u32,
@@ -810,6 +801,7 @@ impl<'a> DistGnnEngine<'a> {
                 ),
                 recovery: RecoveryReport::default(),
                 crashed_machines: Vec::new(),
+                mitigation: MitigationReport::default(),
             });
         }
         let model = self.config.model;
@@ -824,14 +816,12 @@ impl<'a> DistGnnEngine<'a> {
             && (epoch + 1).is_multiple_of(self.config.checkpoint_every)
         {
             recovery.checkpoints += 1;
-            let ckpt_secs = self.checkpoint_seconds(&model);
+            let ckpt_secs = self.checkpoint_seconds();
             recovery.checkpoint_seconds += ckpt_secs;
             if sink.is_enabled() {
                 let t = sink.now();
-                let model_bytes = model_param_count(&model) * 4 * 3;
-                let vstate = per_vertex_state_bytes(&model);
                 for v in views {
-                    let shard = model_bytes + v.local_vertices * vstate;
+                    let shard = self.shard_bytes_of(v);
                     sink.span(v.machine, 0, TracePhase::Checkpoint, t, ckpt_secs, 0, 0);
                     sink.counter(v.machine, counter_names::CHECKPOINT_BYTES, shard as f64);
                 }
@@ -852,29 +842,20 @@ impl<'a> DistGnnEngine<'a> {
             crashed_machines.push(machine);
 
             // Replicated vertices: fetch current state from one surviving
-            // replica each (lowest machine id — deterministic).
-            let mut replica_bytes = 0u64;
-            let mut sources = 0u64;
-            let mut unreplicated = 0u64;
-            for mask in self.replica_masks_on(machine) {
-                let mask = mask & !(1u64 << machine);
-                if mask != 0 {
-                    let src = mask.trailing_zeros();
-                    replica_bytes += state;
+            // replica each.
+            let (fetched, sources, unreplicated) =
+                self.replica_walk(machine, full_mask(k), |src| {
                     report.counters.machine_mut(src).send(state);
                     report.counters.machine_mut(machine).receive(state);
-                    sources |= 1u64 << src;
-                } else {
-                    unreplicated += 1;
-                }
-            }
+                });
+            let replica_bytes = fetched * state;
             recovery.recovery_bytes += replica_bytes;
             // `crash_secs` mirrors every wall-time term this crash adds
             // to the recovery report, so the Recovery span's duration is
             // the exact sum of those terms.
             let mut crash_secs =
                 transfer_time(&ctx.network, replica_bytes, u64::from(sources.count_ones()))
-                    + (unreplicated * state) as f64 / CHECKPOINT_BW;
+                    + (unreplicated * state) as f64 / DEFAULT_CHECKPOINT_BW;
             recovery.restore_seconds += crash_secs;
 
             // Unreplicated state only exists in the last checkpoint, so
@@ -892,7 +873,7 @@ impl<'a> DistGnnEngine<'a> {
                     let mut ckpt = i64::from(epoch) - 1 - i64::from(since);
                     while ckpt >= 0 && plan.corrupted_checkpoint(machine, ckpt as u32) {
                         recovery.corrupted_checkpoints += 1;
-                        let wasted = (unreplicated * state) as f64 / CHECKPOINT_BW;
+                        let wasted = (unreplicated * state) as f64 / DEFAULT_CHECKPOINT_BW;
                         recovery.restore_seconds += wasted;
                         crash_secs += wasted;
                         since += ce;
@@ -936,7 +917,12 @@ impl<'a> DistGnnEngine<'a> {
                 needed_secs: overhead,
             });
         }
-        Ok(FaultyEpochReport { report, recovery, crashed_machines })
+        Ok(FaultyEpochReport {
+            report,
+            recovery,
+            crashed_machines,
+            mitigation: MitigationReport::default(),
+        })
     }
 
     /// Minimal-movement master repair after machine `departed` drops out
@@ -1013,12 +999,13 @@ impl<'a> DistGnnEngine<'a> {
         secs
     }
 
-    /// One epoch under faults + mitigation — the `Mitigated` leg of
-    /// [`DistGnnEngine::run`], with the session's
-    /// [`MitigationPolicy`] applied (DistGNN implements the
-    /// `adaptive_sync` axis: adaptive cd-r + master rebalancing).
+    /// One epoch under a fault plan with the session's
+    /// [`MitigationPolicy`] applied — the `Faulty` leg of
+    /// [`DistGnnEngine::run`]. DistGNN implements the policy's
+    /// `adaptive_sync` axis: adaptive cd-r + master rebalancing.
     ///
-    /// Per epoch: the unmitigated fault path is priced, and — when
+    /// Per epoch: the unmitigated fault path
+    /// ([`DistGnnEngine::faulty_epoch_on`]) is priced, and — when
     /// earlier epochs left the session with adapted state — the epoch is
     /// priced again under that state; the cheaper run (epoch time plus
     /// recovery overhead) is adopted, so mitigation can never make an
@@ -1034,7 +1021,8 @@ impl<'a> DistGnnEngine<'a> {
     /// epoch that commits the move.
     ///
     /// With an empty plan or a policy without `adaptive_sync` this is
-    /// exactly [`DistGnnEngine::faulty_epoch`].
+    /// exactly the unmitigated fault path on the engine's own views,
+    /// cd-r period and sink, with an all-zero mitigation report.
     ///
     /// Contract: the adopted epoch's cost (wall time plus recovery
     /// overhead) plus any migration charged this epoch (reported in
@@ -1046,21 +1034,17 @@ impl<'a> DistGnnEngine<'a> {
     ///
     /// # Errors
     ///
-    /// As [`DistGnnEngine::faulty_epoch`].
-    fn mitigated_epoch(
+    /// As [`DistGnnEngine::faulty_epoch_on`].
+    fn faulty_epoch(
         &self,
         epoch: u32,
         plan: &FaultPlan,
         session: &mut DistGnnMitigation,
-    ) -> Result<MitigatedEpochReport, DistGnnError> {
+    ) -> Result<FaultyEpochReport, DistGnnError> {
+        self.trace.set_epoch(epoch);
         if plan.is_empty() || !session.policy.adaptive_sync {
-            let base = self.faulty_epoch(epoch, plan)?;
-            return Ok(MitigatedEpochReport {
-                report: base.report,
-                recovery: base.recovery,
-                crashed_machines: base.crashed_machines,
-                mitigation: MitigationReport::default(),
-            });
+            let (views, sync_period) = (&self.views, self.config.sync_period);
+            return self.faulty_epoch_on(epoch, plan, views, sync_period, &self.trace);
         }
 
         let model = self.config.model;
@@ -1071,19 +1055,11 @@ impl<'a> DistGnnEngine<'a> {
         // configuration is re-run on the engine's real sink at the end,
         // so discarded probes leave no spans and the returned report is
         // identical to an untraced run by construction.
-        self.trace.set_epoch(epoch);
         let probe = TraceSink::disabled();
-        // Which configuration the epoch was adopted under — replayed
-        // for the trace commit run.
-        enum Adopted {
-            Base,
-            Session,
-            Migrated,
-        }
-        let mut adopted = Adopted::Base;
-        // The sync period the session candidate was priced with (the
-        // detector may change `session.sync_period` further down).
-        let session_sp = session.sync_period;
+        // The cd-r period of the adopted candidate, which runs on the
+        // session's views (`None`: the unmitigated run) — replayed for
+        // the trace commit run.
+        let mut adopted = None;
 
         let unmit =
             self.faulty_epoch_on(epoch, plan, &self.views, self.config.sync_period, &probe)?;
@@ -1100,7 +1076,7 @@ impl<'a> DistGnnEngine<'a> {
                 let cost = c.report.epoch_time() + c.recovery.total_overhead_seconds();
                 if cost < unmit_cost {
                     mitigation.time_saved_secs = unmit_cost - cost;
-                    adopted = Adopted::Session;
+                    adopted = Some(session.sync_period);
                     c
                 } else {
                     unmit
@@ -1187,7 +1163,7 @@ impl<'a> DistGnnEngine<'a> {
                         session.rebalanced =
                             if desired == 0 { None } else { Some((new_masters, views)) };
                         chosen = c;
-                        adopted = Adopted::Migrated;
+                        adopted = Some(session.sync_period);
                         if self.trace.is_enabled() {
                             let t = self.trace.now();
                             self.trace.span(
@@ -1214,20 +1190,15 @@ impl<'a> DistGnnEngine<'a> {
         if self.trace.is_enabled() {
             let rebalanced = session.rebalanced.as_ref().map_or(&self.views[..], |(_, v)| &v[..]);
             let (views, sp) = match adopted {
-                Adopted::Base => (&self.views[..], self.config.sync_period),
-                Adopted::Session => (rebalanced, session_sp),
-                Adopted::Migrated => (rebalanced, session.sync_period),
+                None => (&self.views[..], self.config.sync_period),
+                Some(sp) => (rebalanced, sp),
             };
             let replay = self.faulty_epoch_on(epoch, plan, views, sp, &self.trace);
             debug_assert!(replay.is_ok(), "replay of an adopted epoch cannot fail");
         }
 
-        Ok(MitigatedEpochReport {
-            report: chosen.report,
-            recovery: chosen.recovery,
-            crashed_machines: chosen.crashed_machines,
-            mitigation,
-        })
+        chosen.mitigation = mitigation;
+        Ok(chosen)
     }
 }
 
@@ -1427,19 +1398,8 @@ impl ScenarioEngine for DistGnnEngine<'_> {
         _epoch: &EpochReport,
         env: &Env,
     ) -> CrashRepair {
-        let state = per_vertex_state_bytes(&self.config.model);
-        let mut replica_bytes = 0u64;
-        let mut sources = 0u64;
-        let mut unreplicated = 0u64;
-        for mask in self.replica_masks_on(machine) {
-            let mask = mask & !(1u64 << machine) & active;
-            if mask != 0 {
-                replica_bytes += state;
-                sources |= 1u64 << mask.trailing_zeros();
-            } else {
-                unreplicated += 1;
-            }
-        }
+        let (fetched, sources, unreplicated) = self.replica_walk(machine, active, |_| {});
+        let replica_bytes = fetched * per_vertex_state_bytes(&self.config.model);
         let secs = transfer_time(env.network, replica_bytes, u64::from(sources.count_ones()));
         let mut restore = Restore { bytes: replica_bytes, secs, corrupted: 0 };
         let mut lost = step_frac;
@@ -1459,9 +1419,7 @@ impl ScenarioEngine for DistGnnEngine<'_> {
     }
 
     fn shard_bytes(&self, (_, views): &Self::Layout) -> Vec<u64> {
-        let model_bytes = model_param_count(&self.config.model) * 4 * 3;
-        let state = per_vertex_state_bytes(&self.config.model);
-        views.iter().map(|v| model_bytes + v.local_vertices * state).collect()
+        views.iter().map(|v| self.shard_bytes_of(v)).collect()
     }
 
     fn stream_base(&self) -> (&Graph, &EdgePartition) {
@@ -1602,9 +1560,9 @@ mod tests {
         epochs: u32,
         plan: &FaultPlan,
         policy: MitigationPolicy,
-    ) -> Vec<MitigatedEpochReport> {
+    ) -> Vec<FaultyEpochReport> {
         let spec = RunSpec::healthy().epochs(epochs).faults(plan.clone()).mitigate(policy);
-        let (out, error) = e.run(&spec).unwrap().into_mitigated();
+        let (out, error) = e.run(&spec).unwrap().into_faulty();
         assert!(error.is_none(), "{error:?}");
         out
     }
@@ -2010,13 +1968,19 @@ mod tests {
     fn mitigation_policy_none_matches_plain_fault_path() {
         let (g, random, _) = setup(8);
         let engine = DistGnnEngine::builder(&g, &random).config(cfg(8, 64, 64, 2)).build().unwrap();
-        let plan = FaultPlan::generate(&gp_cluster::FaultSpec::standard(8, 10, 3.0, 0xfa11));
-        let plain = faulty(&engine, 10, &plan).0;
-        let mit = mitigated(&engine, 10, &plan, MitigationPolicy::none());
-        assert_eq!(mit.len(), 10);
-        for (r, plain) in mit.iter().zip(&plain) {
-            assert_eq!(r.report.phases, plain.report.phases);
-            assert_eq!(r.recovery, plain.recovery);
+        let standard = FaultPlan::generate(&gp_cluster::FaultSpec::standard(8, 10, 3.0, 0xfa11));
+        for plan in [standard, crash_plan(3, 5, 0.5)] {
+            let plain = faulty(&engine, 10, &plan).0;
+            let none = mitigated(&engine, 10, &plan, MitigationPolicy::none());
+            assert_eq!(none.len(), 10);
+            for (r, plain) in none.iter().zip(&plain) {
+                assert_eq!(r.report.phases, plain.report.phases);
+                assert_eq!(r.report.epoch_time().to_bits(), plain.report.epoch_time().to_bits());
+                assert_eq!(r.recovery, plain.recovery);
+                assert_eq!(r.crashed_machines, plain.crashed_machines);
+                assert_eq!(r.mitigation, gp_cluster::MitigationReport::default());
+                assert_eq!(plain.mitigation, gp_cluster::MitigationReport::default());
+            }
         }
     }
 
@@ -2084,11 +2048,13 @@ mod tests {
         let mut unmit_total = 0.0;
         let mut mit_total = 0.0;
         let mut mitigation = gp_cluster::MitigationReport::default();
+        let mut unmitigated = engine.mitigation(MitigationPolicy::none());
         // The session's ban set is inspected below, so this drives the
-        // `Mitigated` leg of `run` epoch by epoch.
+        // `Faulty` leg of `run` epoch by epoch.
         for epoch in 0..10 {
-            unmit_total += engine.faulty_epoch(epoch, &plan).unwrap().report.epoch_time();
-            let r = engine.mitigated_epoch(epoch, &plan, &mut session).unwrap();
+            let plain = engine.faulty_epoch(epoch, &plan, &mut unmitigated).unwrap();
+            unmit_total += plain.report.epoch_time();
+            let r = engine.faulty_epoch(epoch, &plan, &mut session).unwrap();
             mit_total += r.report.epoch_time();
             mitigation.merge(&r.mitigation);
         }
@@ -2270,10 +2236,11 @@ mod tests {
             epochs: 10,
             recovery_budget_secs: f64::INFINITY,
         };
+        let mut session = engine.mitigation(MitigationPolicy::none());
         for epoch in 0..8 {
             // Per-epoch accounting: run's epoch leg, sink cleared in between.
             sink.clear();
-            let r = engine.faulty_epoch(epoch, &plan).unwrap();
+            let r = engine.faulty_epoch(epoch, &plan, &mut session).unwrap();
             assert_span_accounting(&sink, 8, &r.report.phases);
             // Checkpoint and recovery wall time is accounted by the
             // overhead spans (one checkpoint span per machine — the
@@ -2302,7 +2269,7 @@ mod tests {
         for epoch in 0..8 {
             // Per-epoch accounting: run's epoch leg, sink cleared in between.
             sink.clear();
-            let r = engine.mitigated_epoch(epoch, &plan, &mut session).unwrap();
+            let r = engine.faulty_epoch(epoch, &plan, &mut session).unwrap();
             assert_span_accounting(&sink, 8, &r.report.phases);
             for s in sink.spans() {
                 assert_eq!(s.epoch, epoch, "spans carry the simulated epoch");
@@ -2409,10 +2376,11 @@ mod tests {
         let engine =
             DistGnnEngine::builder(&g, &random).config(c).trace(sink.clone()).build().unwrap();
         let plan = crash_plan(3, 5, 0.5);
+        let mut session = engine.mitigation(MitigationPolicy::none());
         for epoch in 0..8 {
             // Per-epoch accounting: run's epoch leg, sink cleared in between.
             sink.clear();
-            let r = engine.faulty_epoch(epoch, &plan).unwrap();
+            let r = engine.faulty_epoch(epoch, &plan, &mut session).unwrap();
             assert_metrics_accounting(&sink, 8, &r.report.phases);
             // Per-path counter pinning: the fault path adds exactly the
             // checkpoint shard counters on checkpoint epochs and the
@@ -2452,7 +2420,7 @@ mod tests {
         for epoch in 0..8 {
             // Per-epoch accounting: run's epoch leg, sink cleared in between.
             sink.clear();
-            let r = engine.mitigated_epoch(epoch, &plan, &mut session).unwrap();
+            let r = engine.faulty_epoch(epoch, &plan, &mut session).unwrap();
             assert_metrics_accounting(&sink, 8, &r.report.phases);
         }
     }
@@ -2562,6 +2530,39 @@ mod tests {
         for live in &run.live_workers {
             assert_eq!(live.len(), 8);
         }
+    }
+
+    /// What the fixed-fleet fault leg shares with the scenario driver:
+    /// without crashes or churn, both price the same epochs, retries and
+    /// checkpoints (crash recovery differs, see DESIGN.md).
+    #[test]
+    fn crash_free_faulty_run_equals_the_empty_churn_elastic_run() {
+        let (g, _, hep) = setup(8);
+        let mut c = cfg(8, 64, 64, 2);
+        c.checkpoint_every = 2;
+        let eng = DistGnnEngine::builder(&g, &hep).config(c).build().unwrap();
+        let spec = gp_cluster::FaultSpec {
+            crash_mtbf_epochs: 0.0,
+            ..gp_cluster::FaultSpec::standard(8, 10, 2.0, 0xfa11)
+        };
+        let plan = FaultPlan::generate(&spec);
+        let (fixed, error) = faulty(&eng, 10, &plan);
+        assert!(error.is_none(), "{error:?}");
+        let ckpt = CheckpointConfig::periodic(2);
+        let run = elastic(&eng, 10, &plan, &ChurnPlan::empty(), ckpt, ElasticOptions::default());
+        assert_eq!(run.completed_epochs, 10);
+        let mut recovery = RecoveryReport::default();
+        let mut total = 0.0;
+        for (f, &secs) in fixed.iter().zip(&run.epoch_seconds) {
+            assert_eq!(f.report.epoch_time().to_bits(), secs.to_bits());
+            recovery.merge(&f.recovery);
+            total += f.report.epoch_time() + f.recovery.total_overhead_seconds();
+        }
+        assert!(recovery.retries > 0, "the plan drops messages");
+        assert_eq!(recovery.retries, run.recovery.retries);
+        assert_eq!(recovery.checkpoints, 5);
+        assert_eq!(recovery.checkpoints, run.recovery.checkpoints);
+        assert!((total - run.total_seconds()).abs() <= 1e-12 * total);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod view;
 
 pub use engine::{
     DistGnnConfig, DistGnnEngine, DistGnnEngineBuilder, DistGnnRunReport, EpochPhases, EpochReport,
-    FaultyEpochReport, MitigatedEpochReport,
+    FaultyEpochReport,
 };
 pub use error::DistGnnError;
 pub use memory::MemoryBreakdown;

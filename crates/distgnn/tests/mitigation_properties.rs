@@ -86,7 +86,7 @@ fn mitigated_never_worse_and_deterministic() {
         let faulty = RunSpec::healthy().epochs(EPOCHS).faults(stress_plan(seed));
         let mitigated = faulty.clone().mitigate(MitigationPolicy::adaptive());
         let unmit = run(&faulty).into_faulty().0;
-        let (a, b) = (run(&mitigated).into_mitigated().0, run(&mitigated).into_mitigated().0);
+        let (a, b) = (run(&mitigated).into_faulty().0, run(&mitigated).into_faulty().0);
         assert_eq!(a.len(), EPOCHS as usize, "seed {seed}");
         for (epoch, ((a, b), unmit)) in a.iter().zip(&b).zip(&unmit).enumerate() {
             // The engine's contract: the adopted epoch plus any
@@ -118,7 +118,7 @@ fn empty_plan_mitigated_is_bit_identical() {
             if rng.chance(0.5) { MitigationPolicy::adaptive() } else { MitigationPolicy::all() };
         let base = engine.run(&healthy).unwrap().into_healthy();
         let spec = healthy.faults(FaultPlan::empty()).mitigate(policy);
-        let (mit, error) = engine.run(&spec).unwrap().into_mitigated();
+        let (mit, error) = engine.run(&spec).unwrap().into_faulty();
         assert!(error.is_none(), "seed {seed}");
         assert_eq!(mit.len(), base.len(), "seed {seed}");
         for (m, b) in mit.iter().zip(&base) {
