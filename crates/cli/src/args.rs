@@ -31,7 +31,8 @@ COMMANDS:
     recommend <edge-list>       recommend the best partitioner
         -k N                        machines (default 8)
         --system distgnn|distdgl    (default distgnn)
-        --epochs N                  training budget (default 100)
+        --epochs N                  training budget (default 100,
+                                    must be at least 1)
         --features N --hidden N --layers N   (default 64/64/3)
         --directed                  treat input as directed
         --threads N|auto            gp-exec pool width for candidate
@@ -420,6 +421,22 @@ impl Opts {
         self.value_for(flag)?.parse().map_err(|e| ParseError(format!("bad {flag}: {e}")))
     }
 
+    /// `flag`'s value as a pool width: a count or `auto`.
+    fn threads(&mut self, flag: &str) -> Result<Threads, ParseError> {
+        let value = self.value_for(flag)?;
+        Threads::parse(&value)
+            .ok_or_else(|| ParseError(format!("{flag} expects a count or \"auto\", got {value:?}")))
+    }
+
+    /// `--epochs`' value: a training horizon of at least one epoch.
+    fn epochs(&mut self) -> Result<u32, ParseError> {
+        let epochs = self.numeric("--epochs")?;
+        if epochs == 0 {
+            return err("--epochs must be at least 1");
+        }
+        Ok(epochs)
+    }
+
     /// `-k`'s value: a machine count in `1..=MAX_PARTITIONS`.
     fn machines(&mut self) -> Result<u32, ParseError> {
         let k = self.numeric("-k")?;
@@ -507,12 +524,7 @@ fn parse_partition(opts: &mut Opts) -> Result<Command, ParseError> {
         match flag.as_str() {
             "--algo" => cmd.algo = opts.value_for("--algo")?,
             "-k" => cmd.k = opts.machines()?,
-            "--seed" => {
-                cmd.seed = opts
-                    .value_for("--seed")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad --seed: {e}")))?;
-            }
+            "--seed" => cmd.seed = opts.numeric("--seed")?,
             "--directed" => cmd.directed = true,
             "--out" => cmd.out = Some(PathBuf::from(opts.value_for("--out")?)),
             other => return err(format!("unknown option {other:?}")),
@@ -561,20 +573,12 @@ fn apply_simulate_flag(
         "--directed" => cmd.directed = true,
         "--faults" => cmd.faults = true,
         "--mtbf" => {
-            cmd.mtbf = opts
-                .value_for("--mtbf")?
-                .parse()
-                .map_err(|e| ParseError(format!("bad --mtbf: {e}")))?;
+            cmd.mtbf = opts.numeric("--mtbf")?;
             if cmd.mtbf.is_nan() || cmd.mtbf <= 0.0 {
                 return err("--mtbf must be positive");
             }
         }
-        "--epochs" => {
-            cmd.epochs = opts.numeric("--epochs")?;
-            if cmd.epochs == 0 {
-                return err("--epochs must be at least 1");
-            }
-        }
+        "--epochs" => cmd.epochs = opts.epochs()?,
         "--checkpoint-every" => {
             cmd.checkpoint_every = opts.numeric("--checkpoint-every")?;
             if cmd.checkpoint_every == 0 {
@@ -582,12 +586,7 @@ fn apply_simulate_flag(
                      (omit the flag to run without checkpoints)");
             }
         }
-        "--fault-seed" => {
-            cmd.fault_seed = opts
-                .value_for("--fault-seed")?
-                .parse()
-                .map_err(|e| ParseError(format!("bad --fault-seed: {e}")))?;
-        }
+        "--fault-seed" => cmd.fault_seed = opts.numeric("--fault-seed")?,
         "--mitigate" => {
             let mode = opts.value_for("--mitigate")?;
             if gp_cluster::MitigationPolicy::parse(&mode).is_none() {
@@ -598,12 +597,7 @@ fn apply_simulate_flag(
             }
             cmd.mitigate = mode;
         }
-        "--engine-threads" => {
-            let value = opts.value_for("--engine-threads")?;
-            cmd.engine_threads = Threads::parse(&value).ok_or_else(|| {
-                ParseError(format!("--engine-threads expects a count or \"auto\", got {value:?}"))
-            })?;
-        }
+        "--engine-threads" => cmd.engine_threads = opts.threads("--engine-threads")?,
         _ => return Ok(false),
     }
     Ok(true)
@@ -687,12 +681,7 @@ fn parse_chaos(opts: &mut Opts) -> Result<Command, ParseError> {
     let mut cmd = ChaosCmd { sim, threads: Threads::auto(), bench_out: None, csv_out: None };
     while let Some(flag) = opts.next() {
         match flag.as_str() {
-            "--threads" => {
-                let value = opts.value_for("--threads")?;
-                cmd.threads = Threads::parse(&value).ok_or_else(|| {
-                    ParseError(format!("--threads expects a count or \"auto\", got {value:?}"))
-                })?;
-            }
+            "--threads" => cmd.threads = opts.threads("--threads")?,
             "--bench-out" => {
                 cmd.bench_out = Some(PathBuf::from(opts.value_for("--bench-out")?));
             }
@@ -734,12 +723,7 @@ fn parse_netchaos(opts: &mut Opts) -> Result<Command, ParseError> {
     };
     while let Some(flag) = opts.next() {
         match flag.as_str() {
-            "--threads" => {
-                let value = opts.value_for("--threads")?;
-                cmd.threads = Threads::parse(&value).ok_or_else(|| {
-                    ParseError(format!("--threads expects a count or \"auto\", got {value:?}"))
-                })?;
-            }
+            "--threads" => cmd.threads = opts.threads("--threads")?,
             "--bench-out" => {
                 cmd.bench_out = Some(PathBuf::from(opts.value_for("--bench-out")?));
             }
@@ -779,26 +763,13 @@ fn parse_stream(opts: &mut Opts) -> Result<Command, ParseError> {
     while let Some(flag) = opts.next() {
         match flag.as_str() {
             "--batches" => {
-                cmd.batches = opts
-                    .value_for("--batches")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad --batches: {e}")))?;
+                cmd.batches = opts.numeric("--batches")?;
                 if cmd.batches == 0 {
                     return err("--batches must be at least 1");
                 }
             }
-            "--stream-seed" => {
-                cmd.stream_seed = opts
-                    .value_for("--stream-seed")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad --stream-seed: {e}")))?;
-            }
-            "--threads" => {
-                let value = opts.value_for("--threads")?;
-                cmd.threads = Threads::parse(&value).ok_or_else(|| {
-                    ParseError(format!("--threads expects a count or \"auto\", got {value:?}"))
-                })?;
-            }
+            "--stream-seed" => cmd.stream_seed = opts.numeric("--stream-seed")?,
+            "--threads" => cmd.threads = opts.threads("--threads")?,
             "--bench-out" => {
                 cmd.bench_out = Some(PathBuf::from(opts.value_for("--bench-out")?));
             }
@@ -847,17 +818,12 @@ fn parse_recommend(opts: &mut Opts) -> Result<Command, ParseError> {
         match flag.as_str() {
             "-k" => cmd.k = opts.machines()?,
             "--system" => cmd.system = opts.value_for("--system")?,
-            "--epochs" => cmd.epochs = opts.numeric("--epochs")?,
+            "--epochs" => cmd.epochs = opts.epochs()?,
             "--features" => cmd.features = opts.numeric("--features")?,
             "--hidden" => cmd.hidden = opts.numeric("--hidden")?,
             "--layers" => cmd.layers = opts.numeric("--layers")?,
             "--directed" => cmd.directed = true,
-            "--threads" => {
-                let value = opts.value_for("--threads")?;
-                cmd.threads = Threads::parse(&value).ok_or_else(|| {
-                    ParseError(format!("--threads expects a count or \"auto\", got {value:?}"))
-                })?;
-            }
+            "--threads" => cmd.threads = opts.threads("--threads")?,
             other => return err(format!("unknown option {other:?}")),
         }
     }
@@ -1488,6 +1454,52 @@ mod tests {
         for cmd in ["simulate", "recommend"] {
             let e = parse(&[cmd, "g.el", "--epochs", "4294967297"]).unwrap_err().0;
             assert!(e.starts_with("bad --epochs: "), "{cmd}: {e}");
+            let e = parse(&[cmd, "g.el", "--epochs", "0"]).unwrap_err().0;
+            assert_eq!(e, "--epochs must be at least 1", "{cmd}");
         }
+    }
+
+    #[test]
+    fn pool_width_and_numeric_flags_share_one_error_text() {
+        let pool_widths = [
+            ("simulate", "--engine-threads"),
+            ("chaos", "--threads"),
+            ("netchaos", "--threads"),
+            ("stream", "--threads"),
+            ("recommend", "--threads"),
+        ];
+        for (cmd, flag) in pool_widths {
+            assert_eq!(
+                parse(&[cmd, "g.el", flag, "many"]).unwrap_err().0,
+                format!("{flag} expects a count or \"auto\", got \"many\""),
+                "{cmd}"
+            );
+            assert_eq!(
+                parse(&[cmd, "g.el", flag]).unwrap_err().0,
+                format!("{flag} requires a value"),
+                "{cmd}"
+            );
+        }
+        let integers = [
+            ("partition", "--seed"),
+            ("simulate", "--fault-seed"),
+            ("stream", "--batches"),
+            ("stream", "--stream-seed"),
+        ];
+        for (cmd, flag) in integers {
+            assert_eq!(
+                parse(&[cmd, "g.el", flag, "x"]).unwrap_err().0,
+                format!("bad {flag}: invalid digit found in string"),
+                "{cmd}"
+            );
+        }
+        assert_eq!(
+            parse(&["simulate", "g.el", "--mtbf", "x"]).unwrap_err().0,
+            "bad --mtbf: invalid float literal"
+        );
+        assert_eq!(
+            parse(&["stream", "g.el", "--batches", "0"]).unwrap_err().0,
+            "--batches must be at least 1"
+        );
     }
 }

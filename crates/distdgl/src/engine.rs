@@ -6,6 +6,7 @@
 //! the paper's measurement protocol: per step, each phase is gated by
 //! the slowest worker (the straggler).
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use gp_cluster::driver::{
@@ -359,9 +360,10 @@ impl DistDglMitigation {
 }
 
 /// Running accumulators of an epoch simulation (shared between the
-/// healthy and the fault-injected paths).
-#[derive(Default)]
+/// healthy and the fault-injected paths): the work counters plus the
+/// per-step sums; `steps` is also the index of the next step.
 struct EpochAcc {
+    counters: ClusterCounters,
     steps: usize,
     phases: StepPhases,
     total_inputs: u64,
@@ -372,6 +374,19 @@ struct EpochAcc {
 }
 
 impl EpochAcc {
+    fn new(machines: u32) -> Self {
+        EpochAcc {
+            counters: ClusterCounters::new(machines),
+            steps: 0,
+            phases: StepPhases::default(),
+            total_inputs: 0,
+            total_remote: 0,
+            cache_hits: 0,
+            balance_acc: 0.0,
+            time_balance_acc: 0.0,
+        }
+    }
+
     fn add(&mut self, report: &StepReport) {
         self.steps += 1;
         self.phases.add(&report.phases);
@@ -382,11 +397,11 @@ impl EpochAcc {
         self.time_balance_acc += report.time_balance();
     }
 
-    fn into_summary(self, counters: ClusterCounters) -> EpochSummary {
+    fn into_summary(self) -> EpochSummary {
         EpochSummary {
             steps: self.steps,
             phases: self.phases,
-            counters,
+            counters: self.counters,
             total_input_vertices: self.total_inputs,
             total_remote_vertices: self.total_remote,
             cache_hits: self.cache_hits,
@@ -404,75 +419,35 @@ impl EpochAcc {
     }
 }
 
+/// What one epoch is priced on besides the engine's configuration: an
+/// ownership layout (the engine's own store, or a degraded or elastic
+/// one) and the sink its spans go to (the engine's, or a disabled one
+/// for a probe).
+#[derive(Clone, Copy)]
+struct State<'s> {
+    store: &'s PartitionedStore,
+    sink: &'s TraceSink,
+}
+
 /// Validated builder for [`DistDglEngine`] — the only construction
 /// path. Positional arguments carry the data the engine borrows (graph,
-/// partition, train/val/test split); everything else is set through
-/// chained setters, either wholesale via [`DistDglEngineBuilder::config`]
-/// or field by field. `model` and `cluster` are mandatory; `fanouts`
-/// defaults to [`crate::scaled_fanouts`] for the model's layer count,
-/// the remaining fields to the paper defaults of
-/// [`DistDglConfig::paper`].
+/// partition, train/val/test split); the run's [`DistDglConfig`] is
+/// mandatory and set through [`DistDglEngineBuilder::config`] (start
+/// from [`DistDglConfig::paper`] for the paper defaults).
 #[derive(Debug, Clone)]
 pub struct DistDglEngineBuilder<'a, 'b> {
     graph: &'a Graph,
     partition: &'b VertexPartition,
     split: &'b VertexSplit,
-    model: Option<ModelConfig>,
-    cluster: Option<ClusterSpec>,
-    global_batch_size: u32,
-    fanouts: Option<Vec<u32>>,
-    feature_cache_entries: u32,
-    seed: u64,
+    config: Option<DistDglConfig>,
     trace: TraceSink,
     threads: Threads,
 }
 
 impl<'a, 'b> DistDglEngineBuilder<'a, 'b> {
-    /// Model hyper-parameters (mandatory).
-    pub fn model(mut self, model: ModelConfig) -> Self {
-        self.model = Some(model);
-        self
-    }
-
-    /// Simulated cluster (mandatory).
-    pub fn cluster(mut self, cluster: ClusterSpec) -> Self {
-        self.cluster = Some(cluster);
-        self
-    }
-
-    /// Adopt a complete [`DistDglConfig`] (sets every config field).
+    /// The run's configuration (mandatory).
     pub fn config(mut self, config: DistDglConfig) -> Self {
-        self.model = Some(config.model);
-        self.cluster = Some(config.cluster);
-        self.global_batch_size = config.global_batch_size;
-        self.fanouts = Some(config.fanouts);
-        self.feature_cache_entries = config.feature_cache_entries;
-        self.seed = config.seed;
-        self
-    }
-
-    /// Global batch size (split evenly across workers).
-    pub fn global_batch_size(mut self, global_batch_size: u32) -> Self {
-        self.global_batch_size = global_batch_size;
-        self
-    }
-
-    /// Per-layer fan-outs (defaults to
-    /// [`crate::scaled_fanouts`]`(model.num_layers)`).
-    pub fn fanouts(mut self, fanouts: Vec<u32>) -> Self {
-        self.fanouts = Some(fanouts);
-        self
-    }
-
-    /// Hot-vertex feature-cache size (0 = disabled).
-    pub fn feature_cache_entries(mut self, entries: u32) -> Self {
-        self.feature_cache_entries = entries;
-        self
-    }
-
-    /// Sampling seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config = Some(config);
         self
     }
 
@@ -501,26 +476,14 @@ impl<'a, 'b> DistDglEngineBuilder<'a, 'b> {
     ///
     /// # Errors
     ///
-    /// [`DistDglError::InvalidConfig`] when `model` or `cluster` was
-    /// never set, plus every validation [`DistDglEngine::new`] used to
-    /// perform (partition/cluster mismatch, fan-out arity, batch size),
-    /// and a model with no layers.
+    /// [`DistDglError::InvalidConfig`] when no config was set, the
+    /// fan-outs do not match the layer count, the model has no layers
+    /// or the batch size is 0; [`DistDglError::ClusterMismatch`] when
+    /// the partition and cluster sizes disagree.
     pub fn build(self) -> Result<DistDglEngine<'a>, DistDglError> {
-        let model = self.model.ok_or_else(|| {
-            DistDglError::InvalidConfig("model not set (builder .model())".into())
+        let config = self.config.ok_or_else(|| {
+            DistDglError::InvalidConfig("config not set (builder .config())".into())
         })?;
-        let cluster = self.cluster.ok_or_else(|| {
-            DistDglError::InvalidConfig("cluster not set (builder .cluster())".into())
-        })?;
-        let fanouts = self.fanouts.unwrap_or_else(|| crate::scaled_fanouts(model.num_layers));
-        let config = DistDglConfig {
-            model,
-            cluster,
-            global_batch_size: self.global_batch_size,
-            fanouts,
-            feature_cache_entries: self.feature_cache_entries,
-            seed: self.seed,
-        };
         if self.partition.k() != config.cluster.machines {
             return Err(DistDglError::ClusterMismatch {
                 partitions: self.partition.k(),
@@ -590,12 +553,7 @@ impl<'a> DistDglEngine<'a> {
             graph,
             partition,
             split,
-            model: None,
-            cluster: None,
-            global_batch_size: 1024,
-            fanouts: None,
-            feature_cache_entries: 0,
-            seed: 0x9d15,
+            config: None,
             trace: TraceSink::disabled(),
             threads: Threads::serial(),
         }
@@ -623,13 +581,14 @@ impl<'a> DistDglEngine<'a> {
     /// with fewer local vertices wrap around). For a train-balanced
     /// partition this equals `ceil(|train| / global_batch_size)`.
     pub fn steps_per_epoch(&self) -> usize {
+        self.steps_on(&self.store)
+    }
+
+    /// [`DistDglEngine::steps_per_epoch`] on the layout `store`.
+    fn steps_on(&self, store: &PartitionedStore) -> usize {
         let bpw = self.batch_per_worker();
         let k = self.config.cluster.machines;
-        (0..k)
-            .map(|w| self.store.local_train_vertices(w).len().div_ceil(bpw))
-            .max()
-            .unwrap_or(1)
-            .max(1)
+        (0..k).map(|w| store.local_train_vertices(w).len().div_ceil(bpw)).max().unwrap_or(1).max(1)
     }
 
     /// Mini-batch size per worker.
@@ -648,11 +607,21 @@ impl<'a> DistDglEngine<'a> {
     /// tuple), so the result is identical at any engine width and for
     /// any split of an epoch into ranges.
     pub fn sample_steps(&self, epoch: u32, steps: Range<usize>) -> Vec<Vec<MiniBatch>> {
+        self.sample_steps_on(&self.store, epoch, steps)
+    }
+
+    /// [`DistDglEngine::sample_steps`] on the layout `store`.
+    fn sample_steps_on(
+        &self,
+        store: &PartitionedStore,
+        epoch: u32,
+        steps: Range<usize>,
+    ) -> Vec<Vec<MiniBatch>> {
         let k = self.config.cluster.machines;
         let jobs: Vec<_> = (0..k)
             .map(|w| {
                 let steps = steps.clone();
-                move || self.sample_worker(epoch, steps, w)
+                move || self.sample_worker(store, epoch, steps, w)
             })
             .collect();
         let mut per_worker: Vec<_> =
@@ -679,15 +648,22 @@ impl<'a> DistDglEngine<'a> {
         self.sample_steps(epoch, 0..self.steps_per_epoch())
     }
 
-    /// Worker `w`'s mini-batches for `steps` of `epoch`, in step order.
-    fn sample_worker(&self, epoch: u32, steps: Range<usize>, w: u32) -> Vec<MiniBatch> {
+    /// Worker `w`'s mini-batches for `steps` of `epoch` on the layout
+    /// `store`, in step order.
+    fn sample_worker(
+        &self,
+        store: &PartitionedStore,
+        epoch: u32,
+        steps: Range<usize>,
+        w: u32,
+    ) -> Vec<MiniBatch> {
         let _prof = gp_prof::scope("distdgl.sample");
         let bpw = self.batch_per_worker();
         // Derive independent streams by hashing (seed, epoch, step,
         // worker) through a mixer; shifted XOR would collide as soon as
         // a field outgrows its bit window (e.g. step >= 256).
         let epoch_seed = mix_seed(self.config.seed, u64::from(epoch), 0, 0);
-        let order = shuffled_train_order(&self.store, w, epoch_seed);
+        let order = shuffled_train_order(store, w, epoch_seed);
         let mut scratch = SampleScratch::new();
         let mut seeds = Vec::new();
         steps
@@ -701,7 +677,7 @@ impl<'a> DistDglEngine<'a> {
                 ));
                 sample_minibatch(
                     self.graph,
-                    &self.store,
+                    store,
                     w,
                     &seeds,
                     &self.config.fanouts,
@@ -712,13 +688,14 @@ impl<'a> DistDglEngine<'a> {
             .collect()
     }
 
-    /// Convert one worker's sampled mini-batch into per-phase times and
-    /// record its work into `counters`. With `faults: None` this is the
-    /// healthy baseline and performs exactly the pre-fault arithmetic
-    /// (every adjustment is behind an `if let Some(..)`), so healthy
-    /// results stay bit-identical.
+    /// Convert one worker's sampled mini-batch into per-phase times on
+    /// the layout `store` and record its work into `counters`. With
+    /// `faults: None` this is the healthy baseline and performs exactly
+    /// the pre-fault arithmetic (every adjustment is behind an
+    /// `if let Some(..)`), so healthy results stay bit-identical.
     fn worker_step_cost(
         &self,
+        store: &PartitionedStore,
         worker: u32,
         batch: &MiniBatch,
         counters: &mut ClusterCounters,
@@ -791,7 +768,7 @@ impl<'a> DistDglEngine<'a> {
         // Remote fetch batched per owner.
         let mut per_owner = vec![0u64; cluster.machines as usize];
         for &v in &batch.input_vertices {
-            let o = self.store.owner(v);
+            let o = store.owner(v);
             if o != worker {
                 if self.cached[v as usize] {
                     cache_hits += 1;
@@ -848,7 +825,8 @@ impl<'a> DistDglEngine<'a> {
         }
     }
 
-    /// Shared step simulation; `faults: None` is the healthy baseline
+    /// Shared step simulation on `state`, priced into `acc` as step
+    /// `acc.steps`; `faults: None` is the healthy baseline
     /// (bit-identical to the pre-fault implementation).
     ///
     /// With a mitigation `session`, a steal/speculation candidate is
@@ -859,19 +837,19 @@ impl<'a> DistDglEngine<'a> {
     /// masks the fault from its own monitor.
     fn step_inner(
         &self,
+        state: State<'_>,
         batches: &[MiniBatch],
-        counters: &mut ClusterCounters,
+        acc: &mut EpochAcc,
         faults: Option<&FaultCtx>,
         recovery: &mut RecoveryReport,
         session: Option<&mut DistDglMitigation>,
-        step: u32,
     ) -> StepReport {
         let cluster = &self.config.cluster;
         let network = faults.map_or(cluster.network, |f| f.network);
-        let model = &self.config.model;
         let k = cluster.machines;
         let live_mask = faults.map_or(full_mask(k), |f| f.live_mask);
         let all_live = live_mask == full_mask(k);
+        let counters = &mut acc.counters;
 
         let mut worker_times = Vec::with_capacity(k as usize);
         let mut input_vertices = Vec::with_capacity(k as usize);
@@ -879,7 +857,8 @@ impl<'a> DistDglEngine<'a> {
         let mut cache_hits = 0u64;
         let mut costs = Vec::with_capacity(batches.len());
         for (w, batch) in batches.iter().enumerate() {
-            let wc = self.worker_step_cost(w as u32, batch, counters, faults, recovery);
+            let wc =
+                self.worker_step_cost(state.store, w as u32, batch, counters, faults, recovery);
             cache_hits += wc.cache_hits;
             worker_times.push(wc.phases.sampling + wc.phases.feature_load + wc.phases.forward);
             input_vertices.push(batch.stats.input_vertices);
@@ -891,11 +870,11 @@ impl<'a> DistDglEngine<'a> {
         // backward time includes the all-reduce). DistDGL's PyTorch DDP
         // overlaps the bucketed all-reduce with backward compute, so the
         // phase is gated by the slower of the two, not their sum.
-        let param_bytes = model_param_count(model) * 4;
+        let param_bytes = self.param_bytes();
         let ar_machines = if all_live { k } else { live_mask.count_ones() };
         let allreduce = gp_cluster::time::allreduce_time(&network, param_bytes, ar_machines);
         // Optimiser update (synchronous; the slowest machine gates it).
-        let opt_flops = model_param_count(model) * 10;
+        let opt_flops = self.opt_flops();
         let mut update = compute_time(&cluster.machine, opt_flops);
         if let Some(f) = faults {
             update /= f.min_compute_factor;
@@ -920,17 +899,17 @@ impl<'a> DistDglEngine<'a> {
                         c.receive(received);
                     }
                 }
-                if self.trace.is_enabled() {
+                if state.sink.is_enabled() {
                     // Cluster-wide mitigation counters (attributed to
                     // worker 0, like DistGNN's migration span).
                     let report = &candidate.report;
                     if report.stolen_steps > 0 {
                         let bytes = report.stolen_bytes as f64;
-                        self.trace.counter(0, counter_names::STOLEN_BYTES, bytes);
+                        state.sink.counter(0, counter_names::STOLEN_BYTES, bytes);
                     }
                     if report.speculated_steps > 0 {
                         let bytes = report.speculation_bytes as f64;
-                        self.trace.counter(0, counter_names::SPECULATION_BYTES, bytes);
+                        state.sink.counter(0, counter_names::SPECULATION_BYTES, bytes);
                     }
                 }
                 for &(w, scale) in &candidate.scaled {
@@ -952,14 +931,17 @@ impl<'a> DistDglEngine<'a> {
             }
         }
 
-        self.emit_step_spans(step, &phases, &costs, param_bytes, opt_flops, live_mask);
-        self.emit_traffic_counters(counters);
+        self.emit_step_spans(state.sink, acc.steps as u32, &phases, &costs, live_mask);
+        self.emit_traffic_counters(state.sink, &acc.counters);
 
-        StepReport { phases, worker_times, input_vertices, remote_vertices, cache_hits }
+        let report =
+            StepReport { phases, worker_times, input_vertices, remote_vertices, cache_hits };
+        acc.add(&report);
+        report
     }
 
-    /// Record one step's spans: every worker gets one span per phase
-    /// window, `dur` being the straggler-gated phase time (BSP
+    /// Record one step's spans into `sink`: every worker gets one span
+    /// per phase window, `dur` being the straggler-gated phase time (BSP
     /// semantics — the whole cluster occupies the window), while bytes
     /// and FLOPs carry that worker's own attribution. The durations are
     /// the exact `f64`s summed into [`StepPhases`] by the epoch
@@ -967,26 +949,27 @@ impl<'a> DistDglEngine<'a> {
     /// epoch phase totals bit for bit.
     fn emit_step_spans(
         &self,
+        sink: &TraceSink,
         step: u32,
         phases: &StepPhases,
         costs: &[WorkerCost],
-        param_bytes: u64,
-        opt_flops: u64,
         live_mask: u64,
     ) {
-        if !self.trace.is_enabled() {
+        if !sink.is_enabled() {
             return;
         }
-        let t0 = self.trace.now();
+        let allreduce_bytes = 2 * self.param_bytes();
+        let opt_flops = self.opt_flops();
+        let t0 = sink.now();
         for (w, wc) in costs.iter().enumerate() {
             let w = w as u32;
             if w < 64 && live_mask & (1u64 << w) == 0 {
                 continue;
             }
             let mut t = t0;
-            self.trace.span(w, step, TracePhase::Sampling, t, phases.sampling, wc.sample_bytes, 0);
+            sink.span(w, step, TracePhase::Sampling, t, phases.sampling, wc.sample_bytes, 0);
             t += phases.sampling;
-            self.trace.span(
+            sink.span(
                 w,
                 step,
                 TracePhase::FeatureLoad,
@@ -996,33 +979,33 @@ impl<'a> DistDglEngine<'a> {
                 0,
             );
             t += phases.feature_load;
-            self.trace.span(w, step, TracePhase::Forward, t, phases.forward, 0, wc.fwd_flops);
+            sink.span(w, step, TracePhase::Forward, t, phases.forward, 0, wc.fwd_flops);
             t += phases.forward;
-            self.trace.span(
+            sink.span(
                 w,
                 step,
                 TracePhase::Backward,
                 t,
                 phases.backward,
-                2 * param_bytes,
+                allreduce_bytes,
                 wc.bwd_flops,
             );
             t += phases.backward;
-            self.trace.span(w, step, TracePhase::Update, t, phases.update, 0, opt_flops);
+            sink.span(w, step, TracePhase::Update, t, phases.update, 0, opt_flops);
         }
-        self.trace.advance(phases.total());
+        sink.advance(phases.total());
     }
 
-    /// Emit cumulative per-worker traffic counter tracks (no-op when
-    /// tracing is disabled).
-    fn emit_traffic_counters(&self, counters: &ClusterCounters) {
-        if !self.trace.is_enabled() {
+    /// Emit cumulative per-worker traffic counter tracks into `sink`
+    /// (no-op when it is disabled).
+    fn emit_traffic_counters(&self, sink: &TraceSink, counters: &ClusterCounters) {
+        if !sink.is_enabled() {
             return;
         }
         for m in 0..self.config.cluster.machines {
             let c = counters.machine(m);
-            self.trace.counter(m, counter_names::BYTES_SENT, c.bytes_sent as f64);
-            self.trace.counter(m, counter_names::BYTES_RECEIVED, c.bytes_received as f64);
+            sink.counter(m, counter_names::BYTES_SENT, c.bytes_sent as f64);
+            sink.counter(m, counter_names::BYTES_RECEIVED, c.bytes_received as f64);
         }
     }
 
@@ -1088,51 +1071,36 @@ impl<'a> DistDglEngine<'a> {
     pub fn simulate_epoch_from(&self, sampled: &[Vec<MiniBatch>]) -> EpochSummary {
         let _prof = gp_prof::scope("distdgl.epoch");
         assert!(!sampled.is_empty(), "need at least one sampled step");
-        self.epoch_from(sampled, None, &mut RecoveryReport::default())
+        let state = State { store: &self.store, sink: &self.trace };
+        self.epoch_from(state, sampled, None, &mut RecoveryReport::default())
     }
 
-    /// One unmitigated epoch over `sampled` on this engine's (possibly
-    /// degraded) store under `faults` (`None`: healthy) — the healthy
-    /// leg and the scenario driver's epochs.
+    /// One unmitigated epoch over `sampled` on `state` under `faults`
+    /// (`None`: healthy) — the healthy leg and the scenario driver's
+    /// epochs.
     fn epoch_from(
         &self,
+        state: State<'_>,
         sampled: &[Vec<MiniBatch>],
         faults: Option<&FaultCtx>,
         recovery: &mut RecoveryReport,
     ) -> EpochSummary {
-        let mut counters = ClusterCounters::new(self.config.cluster.machines);
-        self.observe_store_memory(&mut counters);
-        let mut acc = EpochAcc::default();
-        for (step, batches) in sampled.iter().enumerate() {
-            acc.add(&self.step_inner(batches, &mut counters, faults, recovery, None, step as u32));
+        let mut acc = EpochAcc::new(self.config.cluster.machines);
+        self.observe_store_memory(state.store, &mut acc.counters);
+        for batches in sampled {
+            self.step_inner(state, batches, &mut acc, faults, recovery, None);
         }
-        acc.into_summary(counters)
+        acc.into_summary()
     }
 
-    /// Book the resident feature store (plus the hot-vertex cache) of
-    /// every machine into the counters' memory watermark.
-    fn observe_store_memory(&self, counters: &mut ClusterCounters) {
-        let fbytes = 4 * self.config.model.feature_dim as u64;
+    /// Book the resident feature store of the layout `store` (plus the
+    /// hot-vertex cache) of every machine into the counters' memory
+    /// watermark.
+    fn observe_store_memory(&self, store: &PartitionedStore, counters: &mut ClusterCounters) {
+        let fbytes = self.feature_bytes();
         let cache_bytes = u64::from(self.config.feature_cache_entries) * fbytes;
-        for (m, owned) in self.store.owned_counts().iter().enumerate() {
+        for (m, owned) in store.owned_counts().iter().enumerate() {
             counters.machine_mut(m as u32).observe_memory(owned * fbytes + cache_bytes);
-        }
-    }
-
-    /// A sibling engine over the same graph with a different ownership
-    /// store (the cluster after crashes or membership changes),
-    /// recording to `trace` — a clone of this engine's sink shares its
-    /// buffer, a disabled one prices a probe.
-    fn with_store(&self, store: PartitionedStore, trace: TraceSink) -> DistDglEngine<'a> {
-        DistDglEngine {
-            graph: self.graph,
-            store,
-            partition: self.partition.clone(),
-            split: self.split.clone(),
-            config: self.config.clone(),
-            cached: self.cached.clone(),
-            trace,
-            threads: self.threads,
         }
     }
 
@@ -1201,62 +1169,50 @@ impl<'a> DistDglEngine<'a> {
         let crashes_now = plan.crashes_in_epoch(epoch);
         let ctx = FaultCtx::resolve(plan, cluster, epoch, full_mask(k));
 
-        let eng_pre = if failed_prior.is_empty() {
-            self.with_store(self.store.clone(), self.trace.clone())
+        let pre = if failed_prior.is_empty() {
+            Cow::Borrowed(&self.store)
         } else {
-            let store = self.store.with_failed(&failed_prior).ok_or_else(|| {
+            Cow::Owned(self.store.with_failed(&failed_prior).ok_or_else(|| {
                 DistDglError::WorkerFailed { machine: *failed_prior.last().unwrap(), epoch }
-            })?;
-            self.with_store(store, self.trace.clone())
+            })?)
         };
+        let state = State { store: &pre, sink: &self.trace };
 
-        let mut counters = ClusterCounters::new(k);
-        eng_pre.observe_store_memory(&mut counters);
-        let mut acc = EpochAcc::default();
-        let fbytes = 4 * self.config.model.feature_dim as u64;
+        let mut acc = EpochAcc::new(k);
+        self.observe_store_memory(&pre, &mut acc.counters);
+        let fbytes = self.feature_bytes();
 
-        let steps_pre = eng_pre.steps_per_epoch();
+        let steps_pre = self.steps_on(&pre);
         let crash_step = crashes_now
             .iter()
             .map(|&(_, frac)| (frac * steps_pre as f64) as usize)
             .min()
             .unwrap_or(steps_pre)
             .min(steps_pre);
-        for (step, batches) in eng_pre.sample_steps(epoch, 0..crash_step).iter().enumerate() {
-            acc.add(&eng_pre.step_inner(
-                batches,
-                &mut counters,
-                Some(&ctx),
-                &mut recovery,
-                session.as_deref_mut(),
-                step as u32,
-            ));
+        for batches in &self.sample_steps_on(&pre, epoch, 0..crash_step) {
+            let session = session.as_deref_mut();
+            self.step_inner(state, batches, &mut acc, Some(&ctx), &mut recovery, session);
         }
 
         let mut failed_workers = failed_prior;
         if !crashes_now.is_empty() {
             let mut all_failed = failed_workers.clone();
             all_failed.extend(crashes_now.iter().map(|&(m, _)| m));
-            let eng_post = self
+            let post = self
                 .store
                 .with_failed(&all_failed)
-                .map(|s| self.with_store(s, self.trace.clone()))
                 .ok_or(DistDglError::WorkerFailed { machine: crashes_now[0].0, epoch })?;
 
             // The crashed workers' feature shards are re-served from
             // persistent storage to their new owners (one bulk transfer
             // per receiving survivor).
-            let mut restore_bytes = 0u64;
-            let mut recv_bytes = vec![0u64; k as usize];
-            for v in self.graph.vertices() {
-                let new_owner = eng_post.store.owner(v);
-                if eng_pre.store.owner(v) != new_owner {
-                    restore_bytes += fbytes;
-                    recv_bytes[new_owner as usize] += fbytes;
-                    counters.machine_mut(new_owner).receive(fbytes);
-                }
+            let gains = pre.gains(&post);
+            let (moved, receivers) = moves(&gains);
+            let restore_bytes = moved * fbytes;
+            for (m, &gained) in gains.iter().enumerate() {
+                acc.counters.machine_mut(m as u32).receive(gained * fbytes);
             }
-            let messages = recv_bytes.iter().filter(|&&b| b > 0).count() as u64;
+            let messages = u64::from(receivers.count_ones());
             let restore_secs = transfer_time(&ctx.network, restore_bytes, messages);
             recovery.recovery_bytes += restore_bytes;
             recovery.restore_seconds += restore_secs;
@@ -1264,50 +1220,35 @@ impl<'a> DistDglEngine<'a> {
                 // One Recovery span per receiving survivor: the restore
                 // transfer occupies the whole window (bulk transfers run
                 // concurrently); bytes carry each receiver's share.
-                let t = self.trace.now();
-                for (m, &b) in recv_bytes.iter().enumerate() {
-                    if b > 0 {
-                        self.trace.span(
-                            m as u32,
-                            crash_step as u32,
-                            TracePhase::Recovery,
-                            t,
-                            restore_secs,
-                            b,
-                            0,
-                        );
-                        self.trace.counter(m as u32, counter_names::RECOVERY_BYTES, b as f64);
-                    }
+                let (t, step) = (self.trace.now(), crash_step as u32);
+                for (m, &gained) in gains.iter().enumerate().filter(|&(_, &g)| g > 0) {
+                    let (m, b) = (m as u32, gained * fbytes);
+                    self.trace.span(m, step, TracePhase::Recovery, t, restore_secs, b, 0);
+                    self.trace.counter(m, counter_names::RECOVERY_BYTES, b as f64);
                 }
                 self.trace.advance(restore_secs);
             }
             for &(m, _) in &crashes_now {
-                recovery.redistributed_train_vertices +=
-                    eng_pre.store.local_train_vertices(m).len() as u64;
+                recovery.redistributed_train_vertices += pre.local_train_vertices(m).len() as u64;
                 failed_workers.push(m);
             }
             recovery.crashes += crashes_now.len() as u32;
             recovery.lost_progress_epochs += 1.0 / steps_pre as f64;
-            eng_post.observe_store_memory(&mut counters);
+            self.observe_store_memory(&post, &mut acc.counters);
 
             // Re-execute the lost in-flight step, then finish the epoch
             // on the degraded cluster.
-            let steps_post = eng_post.steps_per_epoch().max(crash_step + 1);
-            let sampled = eng_post.sample_steps(epoch, crash_step..steps_post);
+            let state = State { store: &post, sink: &self.trace };
+            let steps_post = self.steps_on(&post).max(crash_step + 1);
+            let sampled = self.sample_steps_on(&post, epoch, crash_step..steps_post);
             for (step, batches) in (crash_step..).zip(&sampled) {
-                let report = eng_post.step_inner(
-                    batches,
-                    &mut counters,
-                    Some(&ctx),
-                    &mut recovery,
-                    session.as_deref_mut(),
-                    step as u32,
-                );
+                let session = session.as_deref_mut();
+                let report =
+                    self.step_inner(state, batches, &mut acc, Some(&ctx), &mut recovery, session);
                 if step == crash_step {
                     recovery.reexecuted_steps += 1;
                     recovery.reexecution_seconds += report.phases.total();
                 }
-                acc.add(&report);
             }
         }
 
@@ -1320,7 +1261,7 @@ impl<'a> DistDglEngine<'a> {
             });
         }
         failed_workers.sort_unstable();
-        let summary = acc.into_summary(counters);
+        let summary = acc.into_summary();
         Ok(FaultyEpochSummary { summary, recovery, failed_workers, mitigation })
     }
 }
@@ -1366,9 +1307,10 @@ impl ScenarioEngine for DistDglEngine<'_> {
         recovery: &mut RecoveryReport,
         traced: bool,
     ) -> EpochSummary {
-        let trace = if traced { self.trace.clone() } else { TraceSink::disabled() };
-        let engine = self.with_store(layout.clone(), trace);
-        engine.epoch_from(&engine.sample_epoch(epoch), Some(ctx), recovery)
+        let disabled = TraceSink::disabled();
+        let sink = if traced { &self.trace } else { &disabled };
+        let sampled = self.sample_steps_on(layout, epoch, 0..self.steps_on(layout));
+        self.epoch_from(State { store: layout, sink }, &sampled, Some(ctx), recovery)
     }
 
     fn counters(epoch: &EpochSummary) -> &ClusterCounters {
@@ -1418,15 +1360,7 @@ impl ScenarioEngine for DistDglEngine<'_> {
         env: &Env,
     ) -> Leave<PartitionedStore> {
         let next = layout.with_failed(&[w]).expect("live set is non-empty");
-        let mut moved = 0u64;
-        let mut receivers = 0u64;
-        for v in self.graph.vertices() {
-            let new = next.owner(v);
-            if layout.owner(v) != new {
-                moved += 1;
-                receivers |= 1u64 << new;
-            }
-        }
+        let (moved, receivers) = moves(&layout.gains(&next));
         let bytes = moved * self.feature_bytes();
         let msgs = u64::from(receivers.count_ones());
         let exit = if graceful {
@@ -1451,9 +1385,9 @@ impl ScenarioEngine for DistDglEngine<'_> {
     /// from a survivor.
     fn join(&self, layout: &mut PartitionedStore, w: u32, _active: u64, env: &Env) -> Restore {
         let next = layout.with_rejoined(w, &self.store);
-        let moved = self.graph.vertices().filter(|&v| layout.owner(v) != next.owner(v)).count();
+        let (moved, _) = moves(&layout.gains(&next));
         *layout = next;
-        let mut restore = snapshot_reload(env, env.restore(w), moved as u64 * self.feature_bytes());
+        let mut restore = snapshot_reload(env, env.restore(w), moved * self.feature_bytes());
         let param_bytes = self.param_bytes();
         restore.bytes += param_bytes;
         restore.secs += transfer_time(env.network, param_bytes, 1);
@@ -1469,15 +1403,7 @@ impl ScenarioEngine for DistDglEngine<'_> {
         let live: Vec<u32> =
             (0..self.config.cluster.machines).filter(|&m| active & (1u64 << m) != 0).collect();
         let cand = self.store.with_members(&live).expect("live set is non-empty");
-        let mut moved = 0u64;
-        let mut receivers = 0u64;
-        for v in self.graph.vertices() {
-            let new = cand.owner(v);
-            if layout.owner(v) != new {
-                moved += 1;
-                receivers |= 1u64 << new;
-            }
-        }
+        let (moved, receivers) = moves(&layout.gains(&cand));
         (moved > 0).then(|| Rebalance {
             layout: cand,
             moved,
@@ -1625,6 +1551,19 @@ impl DistDglEngine<'_> {
     fn feature_bytes(&self) -> u64 {
         4 * self.config.model.feature_dim as u64
     }
+
+    /// FLOPs of one optimiser update on every worker.
+    fn opt_flops(&self) -> u64 {
+        model_param_count(&self.config.model) * 10
+    }
+}
+
+/// The vertices a layout change moves in total, and the bitmask of the
+/// machines that receive any, from the per-machine
+/// [`PartitionedStore::gains`].
+fn moves(gains: &[u64]) -> (u64, u64) {
+    let receivers = gains.iter().enumerate().filter(|&(_, &g)| g > 0);
+    (gains.iter().sum(), receivers.fold(0, |mask, (m, _)| mask | 1u64 << m))
 }
 
 /// Reload a `shard`-byte feature shard through snapshot restore `r`:
@@ -1942,12 +1881,10 @@ mod tests {
     fn zero_layer_model_is_rejected() {
         let (g, rnd, _, split) = setup(4);
         let c = cfg(4, 16, 16, 0, ModelKind::Sage);
-        for built in [
-            DistDglEngine::builder(&g, &rnd, &split).config(c.clone()).build(),
-            DistDglEngine::builder(&g, &rnd, &split).model(c.model).cluster(c.cluster).build(),
-        ] {
-            assert!(matches!(built, Err(DistDglError::InvalidConfig(_))));
-        }
+        assert!(matches!(
+            DistDglEngine::builder(&g, &rnd, &split).config(c).build(),
+            Err(DistDglError::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -2435,51 +2372,15 @@ mod tests {
 
     #[test]
     fn builder_requires_model_and_cluster() {
+        // Model and cluster arrive together in the mandatory config.
         let (g, rnd, _, split) = setup(4);
         assert!(matches!(
             DistDglEngine::builder(&g, &rnd, &split).build(),
             Err(DistDglError::InvalidConfig(_))
         ));
         let c = cfg(4, 16, 16, 2, ModelKind::Sage);
-        assert!(matches!(
-            DistDglEngine::builder(&g, &rnd, &split).model(c.model).build(),
-            Err(DistDglError::InvalidConfig(_))
-        ));
-        // With model and cluster set, fan-outs default to the scaled
-        // paper fan-outs for the layer count.
-        let e = DistDglEngine::builder(&g, &rnd, &split)
-            .model(c.model)
-            .cluster(c.cluster)
-            .build()
-            .unwrap();
-        assert_eq!(e.config().fanouts, crate::scaled_fanouts(2));
-    }
-
-    #[test]
-    fn builder_field_setters_match_config() {
-        let (g, rnd, _, split) = setup(4);
-        let mut c = cfg(4, 16, 16, 2, ModelKind::Sage);
-        c.global_batch_size = 64;
-        c.feature_cache_entries = 50;
-        c.seed = 42;
-        let via_config = healthy(
-            &DistDglEngine::builder(&g, &rnd, &split).config(c.clone()).build().unwrap(),
-            0,
-        );
-        let via_setters = healthy(
-            &DistDglEngine::builder(&g, &rnd, &split)
-                .model(c.model)
-                .cluster(c.cluster)
-                .global_batch_size(64)
-                .fanouts(c.fanouts.clone())
-                .feature_cache_entries(50)
-                .seed(42)
-                .build()
-                .unwrap(),
-            0,
-        );
-        assert_eq!(via_config.phases, via_setters.phases);
-        assert_eq!(via_config.counters, via_setters.counters);
+        let e = DistDglEngine::builder(&g, &rnd, &split).config(c.clone()).build().unwrap();
+        assert_eq!(e.config().fanouts, c.fanouts);
     }
 
     /// The load-bearing invariant: per-worker, per-phase span-duration

@@ -77,6 +77,21 @@ impl PartitionedStore {
         counts
     }
 
+    /// The vertices each machine gains going from this layout to `next`:
+    /// `gains[m]` counts the vertices `next` assigns to `m` that this
+    /// store assigns elsewhere. Their sum is the number of vertices the
+    /// change moves.
+    pub fn gains(&self, next: &PartitionedStore) -> Vec<u64> {
+        debug_assert_eq!(self.owner.len(), next.owner.len(), "layouts of one graph");
+        let mut gains = vec![0u64; self.k as usize];
+        for (&from, &to) in self.owner.iter().zip(&next.owner) {
+            if from != to {
+                gains[to as usize] += 1;
+            }
+        }
+        gains
+    }
+
     /// Graceful degradation after worker crashes: reassign every vertex
     /// (and training vertex) owned by a machine in `failed` round-robin
     /// across the survivors, deterministically by vertex id. The number
@@ -275,6 +290,41 @@ mod tests {
         for v in 0..6u32 {
             assert_eq!(whole.owner(v), pristine.owner(v));
         }
+    }
+
+    #[test]
+    fn gains_equal_a_per_vertex_owner_comparison() {
+        let n = 40u32;
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|v| (v, v + 1)).collect();
+        let g = Graph::from_edges(n, &edges, false).unwrap();
+        let p = VertexPartition::new(&g, 4, (0..n).map(|v| (v * 7 + v / 3) % 4).collect()).unwrap();
+        let s = VertexSplit::random(n, 0.5, 0.1, 3).unwrap();
+        let pristine = PartitionedStore::new(&g, &p, &s).unwrap();
+        let oracle = |from: &PartitionedStore, to: &PartitionedStore| {
+            let mut gains = vec![0u64; 4];
+            for v in 0..n {
+                if from.owner(v) != to.owner(v) {
+                    gains[to.owner(v) as usize] += 1;
+                }
+            }
+            gains
+        };
+        let failed = pristine.with_failed(&[1]).unwrap();
+        let members = failed.with_members(&[0, 3]).unwrap();
+        let rejoined = members.with_rejoined(1, &pristine);
+        for (from, to) in [
+            (&pristine, &failed),
+            (&failed, &members),
+            (&pristine, &members),
+            (&members, &rejoined),
+            (&rejoined, &pristine),
+        ] {
+            let gains = from.gains(to);
+            assert_eq!(gains, oracle(from, to));
+            assert_eq!(to.gains(to), vec![0; 4], "an unchanged layout moves nothing");
+        }
+        assert_eq!(pristine.gains(&failed)[1], 0, "a failed worker gains nothing");
+        assert!(pristine.gains(&failed).iter().sum::<u64>() > 0);
     }
 
     #[test]

@@ -205,54 +205,23 @@ impl DistGnnMitigation {
 
 /// Validated builder for [`DistGnnEngine`] — the single construction
 /// path every consumer (sweeps, ablations, CLI, examples) goes through.
-/// Obtain one with [`DistGnnEngine::builder`]; `model` and `cluster`
-/// are mandatory (set individually or together via
-/// [`DistGnnEngineBuilder::config`]), everything else has the paper
-/// defaults.
+/// Obtain one with [`DistGnnEngine::builder`]; the run's
+/// [`DistGnnConfig`] is mandatory and set through
+/// [`DistGnnEngineBuilder::config`] (start from [`DistGnnConfig::paper`]
+/// for the paper defaults).
 #[derive(Debug, Clone)]
 pub struct DistGnnEngineBuilder<'a> {
     graph: &'a Graph,
     partition: &'a EdgePartition,
-    model: Option<ModelConfig>,
-    cluster: Option<ClusterSpec>,
-    sync_period: u32,
-    checkpoint_every: u32,
+    config: Option<DistGnnConfig>,
     threads: Threads,
     trace: TraceSink,
 }
 
 impl<'a> DistGnnEngineBuilder<'a> {
-    /// Model hyper-parameters (mandatory; must be GraphSAGE).
-    pub fn model(mut self, model: ModelConfig) -> Self {
-        self.model = Some(model);
-        self
-    }
-
-    /// Simulated cluster (mandatory).
-    pub fn cluster(mut self, cluster: ClusterSpec) -> Self {
-        self.cluster = Some(cluster);
-        self
-    }
-
-    /// Adopt a whole [`DistGnnConfig`] (model, cluster, sync period,
-    /// checkpoint period) at once.
+    /// The run's configuration (mandatory).
     pub fn config(mut self, config: DistGnnConfig) -> Self {
-        self.model = Some(config.model);
-        self.cluster = Some(config.cluster);
-        self.sync_period = config.sync_period;
-        self.checkpoint_every = config.checkpoint_every;
-        self
-    }
-
-    /// cd-r replica-sync period (default 1 — sync every epoch).
-    pub fn sync_period(mut self, period: u32) -> Self {
-        self.sync_period = period;
-        self
-    }
-
-    /// Checkpoint period in epochs (default 0 — disabled).
-    pub fn checkpoint_every(mut self, every: u32) -> Self {
-        self.checkpoint_every = every;
+        self.config = Some(config);
         self
     }
 
@@ -277,24 +246,15 @@ impl<'a> DistGnnEngineBuilder<'a> {
     ///
     /// # Errors
     ///
-    /// [`DistGnnError::InvalidConfig`] if `model`/`cluster` are unset,
-    /// the model has no layers, or the sync period is 0;
+    /// [`DistGnnError::InvalidConfig`] if no config was set, the model
+    /// has no layers, or the sync period is 0;
     /// [`DistGnnError::ClusterMismatch`] if the partition size and
     /// cluster size disagree; [`DistGnnError::UnsupportedModel`] if the
     /// model is not GraphSAGE.
     pub fn build(self) -> Result<DistGnnEngine<'a>, DistGnnError> {
-        let model = self.model.ok_or_else(|| {
-            DistGnnError::InvalidConfig("model not set (builder .model())".into())
+        let config = self.config.ok_or_else(|| {
+            DistGnnError::InvalidConfig("config not set (builder .config())".into())
         })?;
-        let cluster = self.cluster.ok_or_else(|| {
-            DistGnnError::InvalidConfig("cluster not set (builder .cluster())".into())
-        })?;
-        let config = DistGnnConfig {
-            model,
-            cluster,
-            sync_period: self.sync_period,
-            checkpoint_every: self.checkpoint_every,
-        };
         if self.partition.k() != config.cluster.machines {
             return Err(DistGnnError::ClusterMismatch {
                 partitions: self.partition.k(),
@@ -341,10 +301,7 @@ impl<'a> DistGnnEngine<'a> {
         DistGnnEngineBuilder {
             graph,
             partition,
-            model: None,
-            cluster: None,
-            sync_period: 1,
-            checkpoint_every: 0,
+            config: None,
             threads: Threads::serial(),
             trace: TraceSink::disabled(),
         }
@@ -2092,41 +2049,13 @@ mod tests {
 
     #[test]
     fn builder_requires_model_and_cluster() {
+        // Model and cluster arrive together in the mandatory config.
         let (g, random, _) = setup(4);
         assert!(matches!(
             DistGnnEngine::builder(&g, &random).build(),
             Err(DistGnnError::InvalidConfig(_))
         ));
-        let c = cfg(4, 16, 16, 2);
-        assert!(matches!(
-            DistGnnEngine::builder(&g, &random).model(c.model).build(),
-            Err(DistGnnError::InvalidConfig(_))
-        ));
-        assert!(DistGnnEngine::builder(&g, &random)
-            .model(c.model)
-            .cluster(c.cluster)
-            .build()
-            .is_ok());
-    }
-
-    #[test]
-    fn builder_field_setters_match_config() {
-        let (g, random, _) = setup(4);
-        let mut c = cfg(4, 16, 16, 2);
-        c.sync_period = 4;
-        c.checkpoint_every = 3;
-        let via_config = healthy(&DistGnnEngine::builder(&g, &random).config(c).build().unwrap());
-        let via_setters = healthy(
-            &DistGnnEngine::builder(&g, &random)
-                .model(c.model)
-                .cluster(c.cluster)
-                .sync_period(4)
-                .checkpoint_every(3)
-                .build()
-                .unwrap(),
-        );
-        assert_eq!(via_config.phases, via_setters.phases);
-        assert_eq!(via_config.counters, via_setters.counters);
+        assert!(DistGnnEngine::builder(&g, &random).config(cfg(4, 16, 16, 2)).build().is_ok());
     }
 
     /// The load-bearing invariant: per-worker, per-phase span-duration

@@ -6,9 +6,9 @@
 //! [`assign_masters_avoiding`] takes a lowest-load fast path that is
 //! exactly the greedy least-loaded choice, and [`build_views`] derives
 //! every count and the sync profile in closed form from three
-//! per-machine accumulators; [`masters_and_views`] does both in one
-//! pass. The per-replica loops they replaced are the test oracles in
-//! `oracle`.
+//! per-machine accumulators; the crate's `masters_and_views` does both
+//! in one pass. The per-replica loops they replaced are the test
+//! oracles in `oracle`.
 
 use gp_partition::{EdgePartition, MAX_PARTITIONS};
 
@@ -152,7 +152,7 @@ fn assign(partition: &EdgePartition, banned: u64) -> (Vec<u32>, ViewAccumulator,
 /// assignment in which every covered vertex's master is one of its
 /// replicas (as [`assign_masters`], master repair and rejoin all
 /// choose). Edge and replica counts come from the partition; one O(V)
-/// pass with no work per replica feeds a [`ViewAccumulator`], from which
+/// pass with no work per replica feeds a `ViewAccumulator`, from which
 /// the sync profile [`crate::sync::views_sync_traffic`] prices in O(k)
 /// is closed-form.
 pub fn build_views(partition: &EdgePartition, masters: &[u32]) -> Vec<PartitionView> {
