@@ -273,12 +273,14 @@ pub fn take_prof_flag(args: &mut Vec<String>) -> bool {
     prof
 }
 
-/// Print the host-time profile recorded so far to stdout, if any.
+/// Print the host-time profile recorded so far to stdout, if any: the
+/// nested scope tree, then one total/self/count row per stage.
 pub fn print_profile() {
     let profile = gp_prof::take_profile();
     if !profile.is_empty() {
         println!("\nhost-time profile:");
         print!("{}", profile.to_markdown());
+        print!("\n{}", profile.to_stage_markdown());
     }
 }
 

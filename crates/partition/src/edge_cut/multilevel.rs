@@ -385,6 +385,7 @@ pub fn multilevel_kway(
     let mut levels: Vec<(WeightedGraph, Vec<u32>)> = Vec::new();
     let mut current = base;
     let mut level_seed = seed;
+    let coarsening = gp_prof::scope("partition.multilevel.coarsen");
     while current.len() > coarsen_limit {
         let before = current.len();
         let (coarse, map) = coarsen(&current, level_seed, max_cluster_weight);
@@ -396,10 +397,15 @@ pub fn multilevel_kway(
             break;
         }
     }
+    drop(coarsening);
     // Initial partition on the coarsest level.
-    let mut labels = initial_partition(&current, k, seed ^ 0xabcd);
-    refine(&current, &mut labels, k, epsilon, refine_passes, allow_balance_moves);
+    let mut labels = {
+        let _prof = gp_prof::scope("partition.multilevel.initial");
+        initial_partition(&current, k, seed ^ 0xabcd)
+    };
     // Uncoarsening with refinement at every level.
+    let _prof = gp_prof::scope("partition.multilevel.refine");
+    refine(&current, &mut labels, k, epsilon, refine_passes, allow_balance_moves);
     while let Some((fine, map)) = levels.pop() {
         let mut fine_labels = vec![0u32; fine.len()];
         for v in 0..fine.len() {

@@ -43,7 +43,7 @@ use crate::edge_cut::ldg::{ldg_capacity, ldg_choose};
 use crate::edge_cut::{ByteGnn, Kahip, Ldg, Metis, RandomVertexPartitioner, ReLdg, Spinner};
 use crate::error::PartitionError;
 use crate::traits::{EdgePartitioner, VertexPartitioner};
-use crate::vertex_cut::hdrf::hdrf_choose;
+use crate::vertex_cut::hdrf::{hdrf_choose, hdrf_scores, LoadExtrema};
 use crate::vertex_cut::{Dbh, Greedy, Grid2d, Hdrf, Hep, RandomEdgePartitioner, TwoPsL};
 
 const NONE: u32 = u32::MAX;
@@ -184,7 +184,7 @@ pub fn full_vertex_partitioner(
 #[derive(Debug, Clone)]
 enum EdgeCore {
     /// HDRF: shared selection rule + load extrema + tie-break rng.
-    Hdrf { lambda: f64, max_load: u64, min_load: u64, rng: Rng },
+    Hdrf { lambda: f64, extrema: LoadExtrema, rng: Rng },
     /// Online 2PS-L: streaming clustering with birth-time cluster →
     /// partition mapping.
     TwoPs {
@@ -252,12 +252,11 @@ pub struct IncrementalEdgePartitioner {
 }
 
 impl IncrementalEdgePartitioner {
-    fn core_for(name: &str, seed: u64) -> EdgeCore {
+    fn core_for(name: &str, k: u32, seed: u64) -> EdgeCore {
         match name {
             "HDRF" => EdgeCore::Hdrf {
                 lambda: Hdrf::default().lambda,
-                max_load: 0,
-                min_load: 0,
+                extrema: LoadExtrema::of(&vec![0; k as usize]),
                 rng: Rng::seed_from_u64(seed),
             },
             "2PS-L" => EdgeCore::TwoPs {
@@ -284,7 +283,7 @@ impl IncrementalEdgePartitioner {
         if k == 0 || k > crate::MAX_PARTITIONS {
             return Err(PartitionError::BadPartitionCount { k });
         }
-        let mut core = Self::core_for(name, seed);
+        let mut core = Self::core_for(name, k, seed);
         if let EdgeCore::TwoPs { part_volume, .. } = &mut core {
             *part_volume = vec![0; k as usize];
         }
@@ -356,10 +355,7 @@ impl IncrementalEdgePartitioner {
             }
         }
         match &mut inc.core {
-            EdgeCore::Hdrf { max_load, min_load, .. } => {
-                *max_load = inc.load.iter().copied().max().unwrap_or(0);
-                *min_load = inc.load.iter().copied().min().unwrap_or(0);
-            }
+            EdgeCore::Hdrf { extrema, .. } => *extrema = LoadExtrema::of(&inc.load),
             EdgeCore::TwoPs { cluster, volume, part_volume, cluster_part, m_seen, .. } => {
                 // Re-drive phase-1 clustering over the snapshot (cheap,
                 // deterministic), then derive the cluster → partition
@@ -523,18 +519,19 @@ impl IncrementalEdgePartitioner {
         self.degrees[vi] += 1;
         let k = self.k;
         let p = match &mut self.core {
-            EdgeCore::Hdrf { lambda, max_load, min_load, rng } => hdrf_choose(
-                k,
-                *lambda,
-                self.degrees[ui],
-                self.degrees[vi],
-                self.replicas[ui],
-                self.replicas[vi],
-                &self.load,
-                *max_load,
-                *min_load,
-                rng,
-            ),
+            EdgeCore::Hdrf { lambda, extrema, rng } => {
+                let mut scores = [0f64; crate::MAX_PARTITIONS as usize];
+                let scores = &mut scores[..k as usize];
+                hdrf_scores(
+                    *lambda,
+                    (self.degrees[ui], self.degrees[vi]),
+                    (self.replicas[ui], self.replicas[vi]),
+                    &self.load,
+                    extrema,
+                    scores,
+                );
+                hdrf_choose(scores, rng)
+            }
             EdgeCore::TwoPs { alpha, cluster, volume, part_volume, cluster_part, m_seen } => {
                 *m_seen += 1;
                 let volume_cap = (2 * *m_seen).div_ceil(u64::from(k)).max(2);
@@ -606,9 +603,8 @@ impl IncrementalEdgePartitioner {
         self.load[p as usize] += 1;
         self.add_replica(e.0, p);
         self.add_replica(e.1, p);
-        if let EdgeCore::Hdrf { max_load, min_load, .. } = &mut self.core {
-            *max_load = (*max_load).max(self.load[p as usize]);
-            *min_load = self.load.iter().copied().min().expect("k >= 1");
+        if let EdgeCore::Hdrf { extrema, .. } = &mut self.core {
+            extrema.grew(&self.load, p as usize);
         }
         Ok(p)
     }
@@ -634,9 +630,8 @@ impl IncrementalEdgePartitioner {
         self.degrees[e.1 as usize] -= 1;
         self.drop_replica(e.0, p);
         self.drop_replica(e.1, p);
-        if let EdgeCore::Hdrf { max_load, min_load, .. } = &mut self.core {
-            *max_load = self.load.iter().copied().max().expect("k >= 1");
-            *min_load = self.load.iter().copied().min().expect("k >= 1");
+        if let EdgeCore::Hdrf { extrema, .. } = &mut self.core {
+            *extrema = LoadExtrema::of(&self.load);
         }
         Ok(p)
     }

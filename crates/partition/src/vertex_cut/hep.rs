@@ -11,9 +11,10 @@
 
 use gp_graph::Graph;
 
-use crate::assignment::EdgePartition;
+use crate::assignment::{EdgePartition, MAX_PARTITIONS};
 use crate::error::PartitionError;
 use crate::traits::EdgePartitioner;
+use crate::vertex_cut::hdrf::{hdrf_scores, LoadExtrema};
 use crate::vertex_cut::ne::{ne_partition, Incidence};
 
 /// Hybrid edge partitioner with threshold parameter `τ`.
@@ -60,7 +61,7 @@ impl EdgePartitioner for Hep {
         &self,
         graph: &Graph,
         k: u32,
-        seed: u64,
+        _seed: u64,
     ) -> Result<EdgePartition, PartitionError> {
         if k == 0 || k > crate::MAX_PARTITIONS {
             return Err(PartitionError::BadPartitionCount { k });
@@ -76,31 +77,24 @@ impl EdgePartitioner for Hep {
             return EdgePartition::new(graph, k, Vec::new());
         }
         let threshold = (self.tau * 2.0 * graph.mean_degree()).max(1.0);
-        let is_high = |v: u32| f64::from(graph.degree(v)) > threshold;
-
-        // Split the edge set: low edges (≥ one low-degree endpoint) go to
-        // the in-memory NE phase, high-high edges to the streaming phase.
-        let mut eligible_ne = vec![false; m];
-        let mut any_stream = false;
-        for (e, (u, v)) in graph.edges().enumerate() {
-            if is_high(u) && is_high(v) {
-                any_stream = true;
-            } else {
-                eligible_ne[e] = true;
-            }
-        }
+        let high: Vec<bool> =
+            (0..graph.num_vertices()).map(|v| f64::from(graph.degree(v)) > threshold).collect();
 
         const UNASSIGNED: u32 = u32::MAX;
         let mut assignments = vec![UNASSIGNED; m];
 
-        // ---- In-memory phase: neighbourhood expansion. ----
-        let incidence = Incidence::build(graph);
-        ne_partition(graph, &incidence, &eligible_ne, &mut assignments, k);
+        // ---- In-memory phase: neighbourhood expansion over the low
+        // edges (≥ one low-degree endpoint); the high-high edges are
+        // left to the streaming phase. ----
+        let low = |u: u32, v: u32| !(high[u as usize] && high[v as usize]);
+        ne_partition(Incidence::build(graph, low), &mut assignments, k);
 
-        // ---- Streaming phase: HDRF-style over the remaining edges,
-        // with the replica sets warm-started from the NE phase. ----
-        if any_stream {
-            let _ = seed; // streaming phase is deterministic
+        // ---- Streaming phase: HDRF-scored over the high-high edges,
+        // with the replica sets warm-started from the NE phase. Unlike
+        // HDRF it takes the first strictly highest score, so it draws
+        // nothing and `seed` is unused. ----
+        if assignments.contains(&UNASSIGNED) {
+            let _prof = gp_prof::scope("partition.hep.stream");
             let n = graph.num_vertices() as usize;
             let mut replicas = vec![0u64; n];
             let mut load = vec![0u64; k as usize];
@@ -112,8 +106,9 @@ impl EdgePartitioner for Hep {
                     load[p as usize] += 1;
                 }
             }
-            let mut max_load = *load.iter().max().expect("k >= 1");
-            let mut min_load = *load.iter().min().expect("k >= 1");
+            let mut extrema = LoadExtrema::of(&load);
+            let mut scores = [0f64; MAX_PARTITIONS as usize];
+            let scores = &mut scores[..k as usize];
             let mut partial = vec![0u32; n];
             for (e, (u, v)) in graph.edges().enumerate() {
                 if assignments[e] != UNASSIGNED {
@@ -122,35 +117,27 @@ impl EdgePartitioner for Hep {
                 let (ui, vi) = (u as usize, v as usize);
                 partial[ui] += 1;
                 partial[vi] += 1;
-                let du = f64::from(partial[ui]);
-                let dv = f64::from(partial[vi]);
-                let theta_u = du / (du + dv);
-                let theta_v = 1.0 - theta_u;
-                let denom = 1e-9 + (max_load - min_load) as f64;
-                let mut best = 0u32;
+                hdrf_scores(
+                    self.lambda,
+                    (partial[ui], partial[vi]),
+                    (replicas[ui], replicas[vi]),
+                    &load,
+                    &extrema,
+                    scores,
+                );
+                let mut best = 0usize;
                 let mut best_score = f64::NEG_INFINITY;
-                for p in 0..k {
-                    let bit = 1u64 << p;
-                    let mut c_rep = 0.0;
-                    if replicas[ui] & bit != 0 {
-                        c_rep += 1.0 + (1.0 - theta_u);
-                    }
-                    if replicas[vi] & bit != 0 {
-                        c_rep += 1.0 + (1.0 - theta_v);
-                    }
-                    let c_bal = self.lambda * (max_load - load[p as usize]) as f64 / denom;
-                    let score = c_rep + c_bal;
+                for (p, &score) in scores.iter().enumerate() {
                     if score > best_score {
                         best_score = score;
                         best = p;
                     }
                 }
-                assignments[e] = best;
+                assignments[e] = best as u32;
                 replicas[ui] |= 1u64 << best;
                 replicas[vi] |= 1u64 << best;
-                load[best as usize] += 1;
-                max_load = max_load.max(load[best as usize]);
-                min_load = *load.iter().min().expect("k >= 1");
+                load[best] += 1;
+                extrema.grew(&load, best);
             }
         }
 
@@ -161,8 +148,109 @@ impl EdgePartitioner for Hep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vertex_cut::testutil::{check_edge_partitioner, skewed_graph};
+    use crate::vertex_cut::hdrf::tests::reference_partition as reference_hdrf;
+    use crate::vertex_cut::ne::tests::reference_ne_partition;
+    use crate::vertex_cut::testutil::{
+        check_edge_partitioner, oracle_graphs, skewed_graph, ORACLE_KS as KS,
+    };
     use crate::vertex_cut::{Hdrf, RandomEdgePartitioner};
+
+    /// HEP before the shared scorer: full-list NE and a per-candidate
+    /// streaming loop with a full `min()` scan per edge.
+    fn reference_partition(g: &Graph, k: u32, tau: f64, lambda: f64) -> Vec<u32> {
+        let m = g.num_edges() as usize;
+        let threshold = (tau * 2.0 * g.mean_degree()).max(1.0);
+        let is_high = |v: u32| f64::from(g.degree(v)) > threshold;
+        let eligible: Vec<bool> = g.edges().map(|(u, v)| !(is_high(u) && is_high(v))).collect();
+        let mut assignments = vec![u32::MAX; m];
+        reference_ne_partition(g, &eligible, &mut assignments, k);
+        let n = g.num_vertices() as usize;
+        let mut replicas = vec![0u64; n];
+        let mut load = vec![0u64; k as usize];
+        for (e, (u, v)) in g.edges().enumerate() {
+            let p = assignments[e];
+            if p != u32::MAX {
+                replicas[u as usize] |= 1u64 << p;
+                replicas[v as usize] |= 1u64 << p;
+                load[p as usize] += 1;
+            }
+        }
+        let mut max_load = *load.iter().max().unwrap();
+        let mut min_load = *load.iter().min().unwrap();
+        let mut partial = vec![0u32; n];
+        for (e, (u, v)) in g.edges().enumerate() {
+            if assignments[e] != u32::MAX {
+                continue;
+            }
+            let (ui, vi) = (u as usize, v as usize);
+            partial[ui] += 1;
+            partial[vi] += 1;
+            let du = f64::from(partial[ui]);
+            let dv = f64::from(partial[vi]);
+            let theta_u = du / (du + dv);
+            let theta_v = 1.0 - theta_u;
+            let denom = 1e-9 + (max_load - min_load) as f64;
+            let mut best = 0u32;
+            let mut best_score = f64::NEG_INFINITY;
+            for p in 0..k {
+                let bit = 1u64 << p;
+                let mut c_rep = 0.0;
+                if replicas[ui] & bit != 0 {
+                    c_rep += 1.0 + (1.0 - theta_u);
+                }
+                if replicas[vi] & bit != 0 {
+                    c_rep += 1.0 + (1.0 - theta_v);
+                }
+                let c_bal = lambda * (max_load - load[p as usize]) as f64 / denom;
+                let score = c_rep + c_bal;
+                if score > best_score {
+                    best_score = score;
+                    best = p;
+                }
+            }
+            assignments[e] = best;
+            replicas[ui] |= 1u64 << best;
+            replicas[vi] |= 1u64 << best;
+            load[best as usize] += 1;
+            max_load = max_load.max(load[best as usize]);
+            min_load = *load.iter().min().unwrap();
+        }
+        assignments
+    }
+
+    #[test]
+    fn partitions_match_the_reference_loops() {
+        for g in oracle_graphs() {
+            for k in KS {
+                for tau in [0.1, 1.0, 10.0, 100.0] {
+                    let got = Hep { tau, lambda: 1.1 }.partition_edges(&g, k, 0).unwrap();
+                    let want = reference_partition(&g, k, tau, 1.1);
+                    assert_eq!(got.assignments(), &want[..], "k {k} tau {tau}");
+                }
+            }
+        }
+    }
+
+    /// The reference check at the scale `figures` and perfbench run,
+    /// too slow for an unoptimised build: run it with
+    /// `cargo test --release -p gp-partition -- --ignored`.
+    #[test]
+    #[ignore]
+    fn small_scale_partitions_match_the_reference_loops() {
+        use gp_graph::datasets::{DatasetId, GraphScale};
+        for id in [DatasetId::EN, DatasetId::OR] {
+            let g = id.generate(GraphScale::Small).unwrap();
+            for k in [8, 32, 64] {
+                let hdrf = Hdrf::default().partition_edges(&g, k, 1).unwrap();
+                assert_eq!(hdrf.assignments(), &reference_hdrf(&g, k, 1.1, 1)[..], "HDRF k {k}");
+                for hep in [Hep::hep10(), Hep::hep100()] {
+                    let got = hep.partition_edges(&g, k, 1).unwrap();
+                    let want = reference_partition(&g, k, hep.tau, hep.lambda);
+                    assert_eq!(got.assignments(), &want[..], "{} k {k}", hep.name());
+                }
+            }
+        }
+    }
 
     #[test]
     fn hep10_passes_common_checks() {

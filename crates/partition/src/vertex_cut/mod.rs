@@ -25,6 +25,7 @@ pub use twops::TwoPsL;
 
 #[cfg(test)]
 pub(crate) mod testutil {
+    use gp_graph::datasets::{DatasetId, GraphScale};
     use gp_graph::generators::{rmat, RmatParams};
     use gp_graph::Graph;
 
@@ -34,6 +35,20 @@ pub(crate) mod testutil {
     /// A small skewed test graph.
     pub fn skewed_graph() -> Graph {
         rmat(RmatParams { scale: 9, edge_factor: 8, ..RmatParams::default() }, 7).unwrap()
+    }
+
+    /// Partition counts the optimised partitioners are checked against
+    /// their reference loops at.
+    pub const ORACLE_KS: [u32; 6] = [1, 2, 3, 8, 32, 64];
+
+    /// The graphs the optimised partitioners are checked against their
+    /// reference loops on: every dataset at tiny scale and
+    /// [`skewed_graph`].
+    pub fn oracle_graphs() -> Vec<Graph> {
+        let mut graphs: Vec<Graph> =
+            DatasetId::ALL.iter().map(|id| id.generate(GraphScale::Tiny).unwrap()).collect();
+        graphs.push(skewed_graph());
+        graphs
     }
 
     /// Checks every edge partitioner must pass.

@@ -307,6 +307,19 @@ pub struct ProfileNode {
     pub children: Vec<ProfileNode>,
 }
 
+/// One scope name's host time summed over the profile tree (see
+/// [`Profile::stages`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Stage {
+    pub name: String,
+    /// Number of times the scope closed, on every path.
+    pub count: u64,
+    /// Seconds inside the scope, counting nested repeats of it once.
+    pub total_secs: f64,
+    /// Seconds inside the scope and outside all of its child scopes.
+    pub self_secs: f64,
+}
+
 /// A deterministic-ordered host-time profile tree (see
 /// [`take_profile`]). Sibling order is name-sorted, so two runs of the
 /// same workload produce structurally identical reports — only the
@@ -350,6 +363,62 @@ impl Profile {
         }
         for n in &self.roots {
             row(&mut out, n, 0);
+        }
+        out
+    }
+
+    /// Flat per-stage view: one row per scope name, summed over every
+    /// path the scope closes under, name-sorted so that stages sharing
+    /// a prefix (`partition.*`) sit together. A stage's total counts
+    /// only its outermost occurrence on each path, so a scope nested in
+    /// itself (`exec.cell → exec.cell`) is not counted twice; its self
+    /// time is the time spent under none of its child scopes.
+    pub fn stages(&self) -> Vec<Stage> {
+        fn walk<'a>(
+            node: &'a ProfileNode,
+            open: &mut Vec<&'a str>,
+            acc: &mut BTreeMap<&'a str, Stage>,
+        ) {
+            if node.count > 0 {
+                let stage = acc.entry(&node.name).or_insert_with(|| Stage {
+                    name: node.name.clone(),
+                    count: 0,
+                    total_secs: 0.0,
+                    self_secs: 0.0,
+                });
+                let in_children: f64 = node.children.iter().map(|c| c.total_secs).sum();
+                stage.count += node.count;
+                stage.self_secs += (node.total_secs - in_children).max(0.0);
+                if !open.contains(&node.name.as_str()) {
+                    stage.total_secs += node.total_secs;
+                }
+            }
+            open.push(&node.name);
+            for c in &node.children {
+                walk(c, open, acc);
+            }
+            open.pop();
+        }
+        let mut acc = BTreeMap::new();
+        for n in &self.roots {
+            walk(n, &mut Vec::new(), &mut acc);
+        }
+        acc.into_values().collect()
+    }
+
+    /// Markdown table of [`Profile::stages`].
+    pub fn to_stage_markdown(&self) -> String {
+        let mut out = String::from(
+            "# host profile by stage\n\n| stage | count | total s | self s |\n|---|---|---|---|\n",
+        );
+        for s in self.stages() {
+            out.push_str(&format!(
+                "| {} | {} | {} | {} |\n",
+                s.name,
+                s.count,
+                fmt9(s.total_secs),
+                fmt9(s.self_secs)
+            ));
         }
         out
     }
@@ -710,6 +779,35 @@ mod tests {
         for line in first.to_json().lines() {
             assert!(!line.contains("inf") && !line.contains("NaN"), "{line}");
         }
+    }
+
+    #[test]
+    fn stages_sum_each_scope_over_its_paths() {
+        let node = |name: &str, count, total_secs, children| ProfileNode {
+            name: name.to_string(),
+            count,
+            total_secs,
+            min_secs: 0.0,
+            max_secs: 0.0,
+            children,
+        };
+        // cell(10 s) → { cell(4 s) → partition.A(3 s), partition.A(2 s) };
+        // a second root partition.A(1 s).
+        let inner = node("cell", 2, 4.0, vec![node("partition.A", 2, 3.0, vec![])]);
+        let cell = node("cell", 1, 10.0, vec![inner, node("partition.A", 1, 2.0, vec![])]);
+        let profile = Profile { roots: vec![cell, node("partition.A", 1, 1.0, vec![])] };
+        let stage = |name: &str, count, total_secs, self_secs| Stage {
+            name: name.to_string(),
+            count,
+            total_secs,
+            self_secs,
+        };
+        assert_eq!(
+            profile.stages(),
+            vec![stage("cell", 3, 10.0, 5.0), stage("partition.A", 4, 6.0, 6.0)]
+        );
+        let md = profile.to_stage_markdown();
+        assert!(md.contains("| cell | 3 | 10.000000000 | 5.000000000 |"), "{md}");
     }
 
     #[test]
