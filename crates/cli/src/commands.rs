@@ -852,16 +852,18 @@ impl Body for &RecommendCmd {
     }
 }
 
-/// `gnnpart list`.
+/// `gnnpart list`: the paper's roster, then the extensions beyond it,
+/// under their kind.
 pub fn list() {
     println!("edge partitioners (vertex-cut), for --system distgnn:");
-    for name in registry::edge_partitioner_names() {
-        println!("  {name}");
-    }
+    print_names(&registry::EDGE_PARTITIONERS, &registry::EXTENSION_EDGE_PARTITIONERS);
     println!("vertex partitioners (edge-cut), for --system distdgl:");
-    for name in registry::vertex_partitioner_names() {
-        println!("  {name}");
-    }
+    print_names(&registry::VERTEX_PARTITIONERS, &registry::EXTENSION_VERTEX_PARTITIONERS);
+}
+
+fn print_names(roster: &[&str], extensions: &[&str]) {
+    roster.iter().for_each(|name| println!("  {name}"));
+    extensions.iter().for_each(|name| println!("  {name} (extension)"));
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ fn help_lists_all_commands() {
 }
 
 #[test]
-fn list_names_all_twelve_partitioners() {
+fn list_names_all_twelve_partitioners_and_the_extensions() {
     let out = gnnpart(&["list"]);
     assert!(out.status.success());
     let text = stdout(&out);
@@ -59,6 +59,9 @@ fn list_names_all_twelve_partitioners() {
         "ByteGNN", "KaHIP",
     ] {
         assert!(text.contains(name), "list missing {name}");
+    }
+    for name in ["Greedy", "Grid2D", "ReLDG"] {
+        assert!(text.contains(&format!("  {name} (extension)\n")), "list missing {name}");
     }
 }
 

@@ -127,7 +127,7 @@ impl RunSpec {
     /// [`RunSpec::stream_partitioner`].
     #[must_use]
     pub fn stream(mut self, spec: StreamSpec, policy: RepartitionPolicy) -> Self {
-        self.stream = Some(StreamLeg { spec, policy, partitioner: None });
+        self.stream = Some(StreamLeg { spec, policy });
         self
     }
 
@@ -169,10 +169,7 @@ impl RunSpec {
             {
                 return Err(RunSpecError::StreamWithOtherLegs);
             }
-            return Ok(Scenario::Stream {
-                leg,
-                partitioner: self.stream_partitioner.as_deref().or(leg.partitioner.as_deref()),
-            });
+            return Ok(Scenario::Stream { leg, partitioner: self.stream_partitioner.as_deref() });
         }
         if self.stream_partitioner.is_some() {
             return Err(RunSpecError::StreamPartitionerWithoutStream);
@@ -236,8 +233,9 @@ pub enum Scenario<'a> {
     Stream {
         /// Mutation schedule and repartition policy.
         leg: &'a StreamLeg,
-        /// Partitioner override ([`RunSpec::stream_partitioner`] wins
-        /// over the leg's own field; `None` = engine default).
+        /// The partitioner [`RunSpec::stream_partitioner`] named;
+        /// `None` = the engine's default (HDRF for the vertex-cut
+        /// engine, LDG for the edge-cut engine).
         partitioner: Option<&'a str>,
     },
 }

@@ -28,17 +28,15 @@
 use gp_graph::StreamSpec;
 use gp_partition::RepartitionPolicy;
 
-/// The streaming leg of a [`crate::RunSpec`].
+/// The streaming leg of a [`crate::RunSpec`]. The partitioner it drives
+/// is named on the spec ([`crate::RunSpec::stream_partitioner`]), not
+/// here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamLeg {
     /// Seeded mutation schedule replayed batch by batch.
     pub spec: StreamSpec,
     /// When to re-run the full partitioner on the live snapshot.
     pub policy: RepartitionPolicy,
-    /// Partitioner driven incrementally (and re-run on repartitions).
-    /// `None` picks the engine's default streaming partitioner (HDRF
-    /// for the vertex-cut engine, LDG for the edge-cut engine).
-    pub partitioner: Option<String>,
 }
 
 /// Per-batch row of a streaming run: the live snapshot's size, the

@@ -2,7 +2,7 @@
 
 use gp_exec::{par_map, Parallelism};
 use gp_graph::Graph;
-use gp_partition::{EdgePartition, VertexPartition};
+use gp_partition::{EdgePartition, PartitionError, VertexPartition};
 
 use crate::registry;
 
@@ -40,20 +40,10 @@ pub fn timed_edge_partitions(
     seed: u64,
     par: impl Into<Parallelism>,
 ) -> Vec<TimedEdgePartition> {
-    let jobs: Vec<_> = registry::edge_partitioner_names()
-        .iter()
-        .map(|&name| {
-            move || {
-                let p = registry::edge_partitioner(name).expect("registered");
-                let _prof = gp_prof::scope_label(|| format!("partition.{name}"));
-                let start = gp_prof::now();
-                let partition =
-                    p.partition_edges(graph, k, seed).unwrap_or_else(|e| panic!("{name}: {e}"));
-                Timed { name: name.to_string(), partition, seconds: start.elapsed_secs() }
-            }
-        })
-        .collect();
-    par_map(par.into().sweep, jobs)
+    timed_partitions(registry::edge_partitioner_names(), par, |name| {
+        let p = registry::edge_partitioner(name).expect("registered");
+        move || p.partition_edges(graph, k, seed)
+    })
 }
 
 /// Run all six vertex partitioners on `graph` with `k` parts, timing
@@ -70,16 +60,33 @@ pub fn timed_vertex_partitions(
     train: &[u32],
     par: impl Into<Parallelism>,
 ) -> Vec<TimedVertexPartition> {
-    let jobs: Vec<_> = registry::vertex_partitioner_names()
+    timed_partitions(registry::vertex_partitioner_names(), par, |name| {
+        let p = registry::vertex_partitioner(name, Some(train.to_vec())).expect("registered");
+        move || p.partition_vertices(graph, k, seed)
+    })
+}
+
+/// One pool job per name, in name order: `build(name)` constructs the
+/// partitioner and returns the run, which alone is timed under the
+/// `partition.<name>` profile scope.
+fn timed_partitions<P, R>(
+    names: &'static [&'static str],
+    par: impl Into<Parallelism>,
+    build: impl Fn(&'static str) -> R + Sync,
+) -> Vec<Timed<P>>
+where
+    P: Send,
+    R: FnOnce() -> Result<P, PartitionError>,
+{
+    let build = &build;
+    let jobs: Vec<_> = names
         .iter()
         .map(|&name| {
             move || {
-                let p =
-                    registry::vertex_partitioner(name, Some(train.to_vec())).expect("registered");
+                let run = build(name);
                 let _prof = gp_prof::scope_label(|| format!("partition.{name}"));
                 let start = gp_prof::now();
-                let partition =
-                    p.partition_vertices(graph, k, seed).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let partition = run().unwrap_or_else(|e| panic!("{name}: {e}"));
                 Timed { name: name.to_string(), partition, seconds: start.elapsed_secs() }
             }
         })

@@ -2,8 +2,9 @@
 //!
 //! Ties the substrates together into the paper's experiment harness:
 //!
-//! * [`registry`] — the 12 partitioners of Table 2, constructible by
-//!   name.
+//! * [`registry`] — the 12 partitioners of Table 2 (plus extensions),
+//!   constructible by name; re-exported from `gp_partition::registry`,
+//!   which owns the one name → constructor table.
 //! * [`config`] — the hyper-parameter grid of Table 3 and the scale-out
 //!   factors.
 //! * [`experiment`] — timed partitioning runs.
@@ -65,11 +66,12 @@ pub mod experiment;
 pub mod family;
 pub mod fault_sweep;
 pub mod netchaos;
-pub mod registry;
 pub mod report;
 pub mod stream_sweep;
 pub mod sweep;
 pub mod trace_run;
+
+pub use gp_partition::registry;
 
 /// Convenience prelude.
 pub mod prelude {

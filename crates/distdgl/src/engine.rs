@@ -23,8 +23,7 @@ use gp_exec::{par_map, Threads};
 use gp_graph::rng::Rng;
 use gp_graph::{Graph, MutationBatch, VertexSplit};
 use gp_partition::{
-    full_vertex_partitioner, IncrementalVertexPartitioner, PartitionError, VertexPartition,
-    VertexPartitioner,
+    registry, IncrementalVertexPartitioner, PartitionError, VertexPartition, VertexPartitioner,
 };
 use gp_tensor::flops::{model_param_count, model_train_flops};
 use gp_tensor::ModelConfig;
@@ -1452,7 +1451,7 @@ impl ScenarioEngine for DistDglEngine<'_> {
     }
 
     fn repartitioner(&self, name: &str) -> Result<Box<dyn VertexPartitioner>, ScenarioError> {
-        full_vertex_partitioner(name, Some(self.split.train.clone())).ok_or_else(|| {
+        registry::vertex_partitioner(name, Some(self.split.train.clone())).ok_or_else(|| {
             ScenarioError::InvalidConfig(format!(
                 "unknown edge-cut partitioner '{name}' for a stream run"
             ))
@@ -1469,27 +1468,16 @@ impl ScenarioEngine for DistDglEngine<'_> {
         IncrementalVertexPartitioner::from_partition(name, graph, part, seed)
     }
 
-    /// Arrivals are placed online in id order, each seeing the
-    /// partitions of its already-placed wiring neighbours (later
-    /// same-batch arrivals are not placed yet and are simply not
-    /// counted); edge insertions and deletions never move a placed
-    /// vertex.
+    /// Arrivals are placed online in id order
+    /// ([`IncrementalVertexPartitioner::place_arrivals`]); edge
+    /// insertions and deletions never move a placed vertex.
     fn update(
         &self,
         online: &mut IncrementalVertexPartitioner,
         batch: &MutationBatch,
         first_new: u32,
     ) -> Result<(), PartitionError> {
-        for v in first_new..first_new + batch.new_vertices {
-            let neighbors: Vec<u32> = batch
-                .inserts
-                .iter()
-                .filter(|&&(x, y)| x == v || y == v)
-                .filter_map(|&(x, y)| online.partition_of(if x == v { y } else { x }))
-                .collect();
-            online.place_vertex(v, &neighbors)?;
-        }
-        Ok(())
+        online.place_arrivals(batch, first_new)
     }
 
     fn materialize(

@@ -13,8 +13,7 @@ use gp_cluster::{
 use gp_exec::{par_map, Threads};
 use gp_graph::{Graph, MutationBatch};
 use gp_partition::{
-    full_edge_partitioner, EdgePartition, EdgePartitioner, IncrementalEdgePartitioner,
-    PartitionError,
+    registry, EdgePartition, EdgePartitioner, IncrementalEdgePartitioner, PartitionError,
 };
 use gp_tensor::flops::{layer_train_flops, model_param_count, BlockShape};
 use gp_tensor::{ModelConfig, ModelKind};
@@ -1384,7 +1383,7 @@ impl ScenarioEngine for DistGnnEngine<'_> {
     }
 
     fn repartitioner(&self, name: &str) -> Result<Box<dyn EdgePartitioner>, ScenarioError> {
-        full_edge_partitioner(name).ok_or_else(|| {
+        registry::edge_partitioner(name).ok_or_else(|| {
             ScenarioError::InvalidConfig(format!(
                 "unknown vertex-cut partitioner '{name}' for a stream run"
             ))

@@ -216,7 +216,7 @@ mod tests {
     fn views_traffic_matches_per_vertex_scan() {
         use crate::view::{assign_masters_avoiding, build_views};
         use gp_graph::generators::{rmat, RmatParams};
-        use gp_partition::full_edge_partitioner;
+        use gp_partition::registry::edge_partitioner;
 
         let base =
             rmat(RmatParams { scale: 8, edge_factor: 4, ..RmatParams::default() }, 3).unwrap();
@@ -226,7 +226,7 @@ mod tests {
         let dims = [(16, 64), (64, 16), (7, 3), (1, 0)];
         for name in ["Random", "DBH", "HDRF", "2PS-L", "HEP-10", "HEP-100"] {
             for k in [1u32, 2, 8, 32] {
-                let p = full_edge_partitioner(name).unwrap().partition_edges(&g, k, 1).unwrap();
+                let p = edge_partitioner(name).unwrap().partition_edges(&g, k, 1).unwrap();
                 let full = (1u64 << k) - 1;
                 for banned in [0, 1, 0b1010, full >> 1, full] {
                     let masters = assign_masters_avoiding(&p, banned & full);

@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn counts_equal_list_lengths_across_the_roster() {
         use gp_graph::generators::{rmat, RmatParams};
-        use gp_partition::full_edge_partitioner;
+        use gp_partition::registry::edge_partitioner;
 
         let r = rmat(RmatParams { scale: 8, edge_factor: 4, ..RmatParams::default() }, 9).unwrap();
         let edges: Vec<(u32, u32)> = r.edges().collect();
@@ -384,7 +384,7 @@ mod tests {
         let g = Graph::from_edges(r.num_vertices() + 7, &edges, false).unwrap();
         for name in ["Random", "DBH", "HDRF", "2PS-L", "HEP-10", "HEP-100"] {
             for k in [1u32, 2, 8, 32, 64] {
-                let p = full_edge_partitioner(name).unwrap().partition_edges(&g, k, 3).unwrap();
+                let p = edge_partitioner(name).unwrap().partition_edges(&g, k, 3).unwrap();
                 assert!(g.vertices().any(|v| p.replica_mask(v) == 0), "isolated vertices");
                 let all = machines(k as usize);
                 for banned in [0u64, 1, 0x5555_5555_5555_5555 & all, all] {
@@ -426,12 +426,12 @@ mod tests {
     #[test]
     fn fast_path_spares_most_walks() {
         use gp_graph::generators::{rmat, RmatParams};
-        use gp_partition::full_edge_partitioner;
+        use gp_partition::registry::edge_partitioner;
 
         let g =
             rmat(RmatParams { scale: 10, edge_factor: 16, ..RmatParams::default() }, 9).unwrap();
         for k in [8u32, 32, 64] {
-            let p = full_edge_partitioner("Random").unwrap().partition_edges(&g, k, 3).unwrap();
+            let p = edge_partitioner("Random").unwrap().partition_edges(&g, k, 3).unwrap();
             let covered = p.replica_masks().iter().filter(|&&m| m != 0).count();
             for banned in [0u64, 1] {
                 let (masters, _, walked) = assign(&p, banned);
@@ -477,12 +477,12 @@ mod tests {
     #[test]
     fn sync_profile_matches_replication_and_peers_are_symmetric() {
         use gp_graph::generators::{rmat, RmatParams};
-        use gp_partition::full_edge_partitioner;
+        use gp_partition::registry::edge_partitioner;
 
         let g = rmat(RmatParams { scale: 8, edge_factor: 4, ..RmatParams::default() }, 5).unwrap();
         for name in ["Random", "HDRF", "HEP-100"] {
             for k in [1u32, 2, 8, 32] {
-                let p = full_edge_partitioner(name).unwrap().partition_edges(&g, k, 1).unwrap();
+                let p = edge_partitioner(name).unwrap().partition_edges(&g, k, 1).unwrap();
                 for banned in [0u64, 1] {
                     let masters = assign_masters_avoiding(&p, banned);
                     let views = build_views(&p, &masters);

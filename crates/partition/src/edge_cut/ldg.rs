@@ -29,11 +29,14 @@ impl Default for Ldg {
 impl Ldg {
     /// The streaming core: place the vertices of `order` one at a time,
     /// each on the partition holding most of its *already-placed*
-    /// neighbours, damped by the linear capacity penalty.
-    /// [`VertexPartitioner::partition_vertices`] drives this with a
-    /// seed-shuffled order; the incremental partitioner
-    /// (`crate::incremental`) drives the same rule with arrival order,
-    /// which is what makes the incremental-vs-batch oracle exact.
+    /// neighbours, damped by the linear capacity penalty; repeat for
+    /// `passes` passes, each re-placing every vertex against the previous
+    /// pass's labelling (its own old placement removed from the sizes
+    /// first). [`VertexPartitioner::partition_vertices`] drives one pass
+    /// over a seed-shuffled order, and [`ReLdg`](crate::edge_cut::ReLdg)
+    /// more; the incremental partitioner (`crate::incremental`) drives the
+    /// same rule with arrival order, which is what makes the
+    /// incremental-vs-batch oracle exact.
     ///
     /// `order` must enumerate every vertex exactly once.
     ///
@@ -46,6 +49,7 @@ impl Ldg {
         graph: &Graph,
         k: u32,
         order: &[u32],
+        passes: u32,
     ) -> Result<VertexPartition, PartitionError> {
         if k == 0 || k > crate::MAX_PARTITIONS {
             return Err(PartitionError::BadPartitionCount { k });
@@ -69,29 +73,42 @@ impl Ldg {
         let mut assignments = vec![NONE; n as usize];
         let mut sizes = vec![0u64; k as usize];
         let mut neighbor_counts = vec![0u32; k as usize];
-        for &v in order {
-            // Count already-placed neighbours per partition. For directed
-            // graphs both directions matter for the cut, so scan both.
-            neighbor_counts.iter_mut().for_each(|c| *c = 0);
-            for &w in graph.out_neighbors(v) {
-                let p = assignments[w as usize];
-                if p != NONE {
-                    neighbor_counts[p as usize] += 1;
+        for _pass in 0..passes {
+            for &v in order {
+                let old = assignments[v as usize];
+                if old != NONE {
+                    sizes[old as usize] -= 1;
                 }
-            }
-            if graph.is_directed() {
-                for &w in graph.in_neighbors(v) {
+                // Count placed neighbours per partition. For directed
+                // graphs both directions matter for the cut, so scan both.
+                neighbor_counts.iter_mut().for_each(|c| *c = 0);
+                for &w in graph.out_neighbors(v) {
                     let p = assignments[w as usize];
                     if p != NONE {
                         neighbor_counts[p as usize] += 1;
                     }
                 }
+                if graph.is_directed() {
+                    for &w in graph.in_neighbors(v) {
+                        let p = assignments[w as usize];
+                        if p != NONE {
+                            neighbor_counts[p as usize] += 1;
+                        }
+                    }
+                }
+                let best = ldg_choose(k, capacity, &sizes, &neighbor_counts);
+                assignments[v as usize] = best;
+                sizes[best as usize] += 1;
             }
-            let best = ldg_choose(k, capacity, &sizes, &neighbor_counts);
-            assignments[v as usize] = best;
-            sizes[best as usize] += 1;
         }
         VertexPartition::new(graph, k, assignments)
+    }
+
+    /// Every vertex once, in the seed-shuffled order LDG and ReLDG stream.
+    pub(crate) fn shuffled_order(graph: &Graph, seed: u64) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..graph.num_vertices()).collect();
+        Rng::seed_from_u64(seed).shuffle(&mut order);
+        order
     }
 }
 
@@ -106,10 +123,7 @@ impl VertexPartitioner for Ldg {
         k: u32,
         seed: u64,
     ) -> Result<VertexPartition, PartitionError> {
-        let mut order: Vec<u32> = (0..graph.num_vertices()).collect();
-        let mut rng = Rng::seed_from_u64(seed);
-        rng.shuffle(&mut order);
-        self.partition_in_order(graph, k, &order)
+        self.partition_in_order(graph, k, &Ldg::shuffled_order(graph, seed), 1)
     }
 }
 

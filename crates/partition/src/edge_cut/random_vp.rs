@@ -29,11 +29,17 @@ impl VertexPartitioner for RandomVertexPartitioner {
         if k == 0 || k > crate::MAX_PARTITIONS {
             return Err(PartitionError::BadPartitionCount { k });
         }
-        let assignments: Vec<u32> = (0..graph.num_vertices())
-            .map(|v| (mix64(u64::from(v) ^ seed) % u64::from(k)) as u32)
-            .collect();
+        let assignments: Vec<u32> =
+            (0..graph.num_vertices()).map(|v| random_vertex_choose(v, seed, k)).collect();
         VertexPartition::new(graph, k, assignments)
     }
+}
+
+/// The partition of vertex `v`: a seeded hash of its id. Shared with the
+/// online core of `crate::incremental`.
+#[inline]
+pub(crate) fn random_vertex_choose(v: u32, seed: u64, k: u32) -> u32 {
+    (mix64(u64::from(v) ^ seed) % u64::from(k)) as u32
 }
 
 #[cfg(test)]

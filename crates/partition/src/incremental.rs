@@ -7,16 +7,21 @@
 //! partitioners driven by a `gp_graph::stream` mutation stream:
 //!
 //! * **Insertions** are assigned online with the same decision rule as
-//!   the one-shot partitioner. For HDRF and LDG the rule is literally
-//!   shared code ([`hdrf_choose`](crate::vertex_cut::hdrf),
-//!   [`ldg_choose`](crate::edge_cut::ldg)), so an insert-only stream
-//!   fed in arrival order produces *bit-identical* assignments to the
-//!   one-shot partitioner fed the same order (the incremental-vs-batch
-//!   oracle). 2PS-L's phase 2 needs a global cluster ordering that an
-//!   online algorithm cannot know, so its incremental variant freezes
-//!   each cluster's partition at cluster birth; its oracle is
-//!   batch-boundary independence — streaming the same edges in B
-//!   batches or one batch yields identical assignments.
+//!   the one-shot partitioner, and the rule is literally shared code:
+//!   [`hdrf_choose`](crate::vertex_cut::hdrf) for HDRF,
+//!   [`ldg_choose`](crate::edge_cut::ldg) for LDG, 2PS-L's phase-1
+//!   clustering update and phase-2 placement
+//!   ([`twops`](crate::vertex_cut::twops)), DBH's degree hash
+//!   ([`dbh`](crate::vertex_cut::dbh), over live degrees) and Random's
+//!   vertex hash ([`random_vp`](crate::edge_cut::random_vp)). For HDRF
+//!   and LDG an insert-only stream fed in arrival order produces
+//!   *bit-identical* assignments to the one-shot partitioner fed the
+//!   same order (the incremental-vs-batch oracle). 2PS-L's cluster →
+//!   partition map needs a global cluster ordering that an online
+//!   algorithm cannot know, so its incremental variant freezes each
+//!   cluster's partition at cluster birth; its oracle is batch-boundary
+//!   independence — streaming the same edges in B batches or one batch
+//!   yields identical assignments.
 //! * **Deletions** never reassign surviving edges; they only update
 //!   the replication/balance bookkeeping. The replica ledger counts
 //!   live incident edges per `(vertex, partition)` and *drops* an
@@ -24,7 +29,7 @@
 //!   behind would keep phantom replicas in the ledger and skew the
 //!   replication factor ever lower as the stream ages.
 //! * Partitioners without an online rule fall back to a generic one
-//!   (hashing for Random/DBH, replica-greedy least-loaded for the
+//!   (an edge hash for Random, replica-greedy least-loaded for the
 //!   in-memory algorithms), so the full roster can ride the stream.
 //!
 //! [`RepartitionPolicy`] decides when drift has accumulated enough to
@@ -36,15 +41,17 @@
 
 use gp_graph::edgemap::{edge_map_with_capacity, EdgeMap};
 use gp_graph::rng::{mix64, Rng};
-use gp_graph::Graph;
+use gp_graph::{Graph, MutationBatch};
 
 use crate::assignment::{EdgePartition, VertexPartition};
 use crate::edge_cut::ldg::{ldg_capacity, ldg_choose};
-use crate::edge_cut::{ByteGnn, Kahip, Ldg, Metis, RandomVertexPartitioner, ReLdg, Spinner};
+use crate::edge_cut::random_vp::random_vertex_choose;
+use crate::edge_cut::Ldg;
 use crate::error::PartitionError;
-use crate::traits::{EdgePartitioner, VertexPartitioner};
+use crate::vertex_cut::dbh::dbh_choose;
 use crate::vertex_cut::hdrf::{hdrf_choose, hdrf_scores, LoadExtrema};
-use crate::vertex_cut::{Dbh, Greedy, Grid2d, Hdrf, Hep, RandomEdgePartitioner, TwoPsL};
+use crate::vertex_cut::twops::{cluster_phase1, twops_place, UNCLUSTERED};
+use crate::vertex_cut::{Hdrf, TwoPsL};
 
 const NONE: u32 = u32::MAX;
 
@@ -142,44 +149,6 @@ pub fn modeled_partition_seconds(name: &str, num_edges: u64) -> f64 {
     1e-3 + per_edge * num_edges as f64
 }
 
-/// Construct a *full* (one-shot) edge partitioner by name, for the
-/// repartition policies. Mirrors the `gp_core` registry (which this
-/// crate cannot depend on).
-pub fn full_edge_partitioner(name: &str) -> Option<Box<dyn EdgePartitioner>> {
-    Some(match name {
-        "Random" => Box::new(RandomEdgePartitioner),
-        "DBH" => Box::new(Dbh),
-        "HDRF" => Box::new(Hdrf::default()),
-        "2PS-L" => Box::new(TwoPsL::default()),
-        "HEP-10" => Box::new(Hep::hep10()),
-        "HEP-100" => Box::new(Hep::hep100()),
-        "Greedy" => Box::new(Greedy),
-        "Grid2D" => Box::new(Grid2d),
-        _ => return None,
-    })
-}
-
-/// Construct a full vertex partitioner by name (see
-/// [`full_edge_partitioner`]); `train_vertices` parameterises ByteGNN.
-pub fn full_vertex_partitioner(
-    name: &str,
-    train_vertices: Option<Vec<u32>>,
-) -> Option<Box<dyn VertexPartitioner>> {
-    Some(match name {
-        "Random" => Box::new(RandomVertexPartitioner),
-        "LDG" => Box::new(Ldg::default()),
-        "Spinner" => Box::new(Spinner::default()),
-        "METIS" => Box::new(Metis::default()),
-        "ByteGNN" => match train_vertices {
-            Some(t) => Box::new(ByteGnn::with_train_vertices(t)),
-            None => Box::new(ByteGnn::default()),
-        },
-        "KaHIP" => Box::new(Kahip::default()),
-        "ReLDG" => Box::new(ReLdg::default()),
-        _ => return None,
-    })
-}
-
 /// Per-partitioner online decision state for edge (vertex-cut) streams.
 #[derive(Debug, Clone)]
 enum EdgeCore {
@@ -189,7 +158,7 @@ enum EdgeCore {
     /// partition mapping.
     TwoPs {
         alpha: f64,
-        /// Cluster id per vertex (`NONE` = unclustered).
+        /// Cluster id per vertex (`UNCLUSTERED` until an edge reaches it).
         cluster: Vec<u32>,
         /// Degree volume per cluster.
         volume: Vec<u64>,
@@ -360,7 +329,7 @@ impl IncrementalEdgePartitioner {
                 // Re-drive phase-1 clustering over the snapshot (cheap,
                 // deterministic), then derive the cluster → partition
                 // map from the adopted assignments by majority vote.
-                cluster.resize(n, NONE);
+                cluster.resize(n, UNCLUSTERED);
                 let mut degs = vec![0u32; n];
                 let mut seen = 0u64;
                 for (u, v) in snapshot.edges() {
@@ -461,7 +430,7 @@ impl IncrementalEdgePartitioner {
             self.degrees.resize(need, 0);
             self.replicas.resize(need, 0);
             if let EdgeCore::TwoPs { cluster, .. } = &mut self.core {
-                cluster.resize(need, NONE);
+                cluster.resize(need, UNCLUSTERED);
             }
         }
     }
@@ -539,45 +508,17 @@ impl IncrementalEdgePartitioner {
                 let dv = u64::from(self.degrees[vi]);
                 let grew = cluster_phase1(cluster, volume, volume_cap, ui, vi, du, dv);
                 sync_cluster_parts(volume, part_volume, cluster_part, grew, k);
-                // Phase-2 rule, identical in shape to the one-shot: same
-                // cluster-partition -> go there; otherwise prefer an
-                // existing replica, then the less-loaded candidate;
-                // spill past the dynamic edge-balance cap.
+                // Phase 2 against the dynamic edge-balance cap.
                 let pu = cluster_part[cluster[ui] as usize];
                 let pv = cluster_part[cluster[vi] as usize];
-                let mut p = if pu == pv {
-                    pu
-                } else {
-                    let ru = self.replicas[ui] | self.replicas[vi];
-                    let u_has = ru & (1u64 << pu) != 0;
-                    let v_has = ru & (1u64 << pv) != 0;
-                    match (u_has, v_has) {
-                        (true, false) => pu,
-                        (false, true) => pv,
-                        _ => {
-                            if self.load[pu as usize] <= self.load[pv as usize] {
-                                pu
-                            } else {
-                                pv
-                            }
-                        }
-                    }
-                };
                 let cap = ((*alpha * *m_seen as f64) / f64::from(k)).ceil() as u64;
-                if self.load[p as usize] >= cap {
-                    p = (0..k).min_by_key(|&q| self.load[q as usize]).expect("k >= 1");
-                }
-                p
+                twops_place(pu, pv, self.replicas[ui] | self.replicas[vi], &self.load, cap)
             }
             EdgeCore::Hash => {
                 let h = mix64(mix64(u64::from(e.0) ^ self.seed) ^ u64::from(e.1));
                 (h % u64::from(k)) as u32
             }
-            EdgeCore::Dbh => {
-                let (du, dv) = (self.degrees[ui], self.degrees[vi]);
-                let key = if du < dv || (du == dv && e.0 <= e.1) { e.0 } else { e.1 };
-                (mix64(u64::from(key) ^ self.seed) % u64::from(k)) as u32
-            }
+            EdgeCore::Dbh => dbh_choose(e, (self.degrees[ui], self.degrees[vi]), self.seed, k),
             EdgeCore::ReplicaGreedy => {
                 let mut best = 0u32;
                 let mut best_key = (0u32, u64::MAX);
@@ -670,69 +611,6 @@ impl IncrementalEdgePartitioner {
             assignments.push(u32::from(p));
         }
         EdgePartition::new(snapshot, self.k, assignments)
-    }
-}
-
-/// One-shot 2PS-L phase-1 clustering update for a single edge, shared
-/// between the online core and state reconstruction. Returns the id of
-/// a newly born cluster, if any.
-fn cluster_phase1(
-    cluster: &mut [u32],
-    volume: &mut Vec<u64>,
-    volume_cap: u64,
-    ui: usize,
-    vi: usize,
-    du: u64,
-    dv: u64,
-) -> Option<u32> {
-    match (cluster[ui], cluster[vi]) {
-        (NONE, NONE) => {
-            let id = volume.len() as u32;
-            volume.push(du + dv);
-            cluster[ui] = id;
-            cluster[vi] = id;
-            Some(id)
-        }
-        (cu, NONE) => {
-            if volume[cu as usize] + dv <= volume_cap {
-                cluster[vi] = cu;
-                volume[cu as usize] += dv;
-                None
-            } else {
-                let id = volume.len() as u32;
-                volume.push(dv);
-                cluster[vi] = id;
-                Some(id)
-            }
-        }
-        (NONE, cv) => {
-            if volume[cv as usize] + du <= volume_cap {
-                cluster[ui] = cv;
-                volume[cv as usize] += du;
-                None
-            } else {
-                let id = volume.len() as u32;
-                volume.push(du);
-                cluster[ui] = id;
-                Some(id)
-            }
-        }
-        (cu, cv) if cu != cv => {
-            // 2PS-L's O(1) "rescue" step: move the endpoint sitting in
-            // the smaller cluster into the larger one if it has room.
-            let (small_v, small_c, big_c, dw) = if volume[cu as usize] <= volume[cv as usize] {
-                (ui, cu, cv, du)
-            } else {
-                (vi, cv, cu, dv)
-            };
-            if volume[big_c as usize] + dw <= volume_cap {
-                cluster[small_v] = big_c;
-                volume[big_c as usize] += dw;
-                volume[small_c as usize] = volume[small_c as usize].saturating_sub(dw);
-            }
-            None
-        }
-        _ => None,
     }
 }
 
@@ -899,7 +777,7 @@ impl IncrementalVertexPartitioner {
         }
         let p = match &self.core {
             VertexCore::Ldg { capacity, .. } => ldg_choose(self.k, *capacity, &self.sizes, &counts),
-            VertexCore::Hash => (mix64(u64::from(v) ^ self.seed) % u64::from(self.k)) as u32,
+            VertexCore::Hash => random_vertex_choose(v, self.seed, self.k),
             VertexCore::PlacedNeighbors => {
                 let mut best = 0u32;
                 let mut best_key = (0u32, u64::MAX);
@@ -916,6 +794,31 @@ impl IncrementalVertexPartitioner {
         self.assignments[v as usize] = p;
         self.sizes[p as usize] += 1;
         Ok(p)
+    }
+
+    /// Place a stream batch's arrivals (`first_new..first_new +
+    /// batch.new_vertices`) online in id order, each seeing the
+    /// partitions of its already-placed wiring neighbours (later
+    /// same-batch arrivals are not placed yet and are not counted).
+    ///
+    /// # Errors
+    ///
+    /// As [`IncrementalVertexPartitioner::place_vertex`].
+    pub fn place_arrivals(
+        &mut self,
+        batch: &MutationBatch,
+        first_new: u32,
+    ) -> Result<(), PartitionError> {
+        for v in first_new..first_new + batch.new_vertices {
+            let neighbors: Vec<u32> = batch
+                .inserts
+                .iter()
+                .filter(|&&(x, y)| x == v || y == v)
+                .filter_map(|&(x, y)| self.partition_of(if x == v { y } else { x }))
+                .collect();
+            self.place_vertex(v, &neighbors)?;
+        }
+        Ok(())
     }
 
     /// Materialise the tracked placements against a snapshot.
@@ -938,6 +841,8 @@ impl IncrementalVertexPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry;
+    use crate::traits::{EdgePartitioner, VertexPartitioner};
     use gp_graph::{DatasetId, GraphScale, StreamGraph, StreamPlan, StreamSpec};
     use std::collections::HashMap;
 
@@ -1031,29 +936,12 @@ mod tests {
         inc.provision_capacity(80);
         for batch in plan.batches() {
             sg.apply(batch).unwrap();
-            let first_new = sg.num_vertices() - batch.new_vertices;
-            for v in first_new..sg.num_vertices() {
-                let neighbors: Vec<u32> = batch
-                    .inserts
-                    .iter()
-                    .filter_map(|&(a, b)| {
-                        let w = if a == v {
-                            b
-                        } else if b == v {
-                            a
-                        } else {
-                            return None;
-                        };
-                        inc.partition_of(w)
-                    })
-                    .collect();
-                inc.place_vertex(v, &neighbors).unwrap();
-            }
+            inc.place_arrivals(batch, sg.num_vertices() - batch.new_vertices).unwrap();
         }
         let snap = sg.snapshot().unwrap();
         assert_eq!(snap.num_vertices(), 80);
         let order: Vec<u32> = (0..80).collect();
-        let one_shot = Ldg::default().partition_in_order(&snap, 4, &order).unwrap();
+        let one_shot = Ldg::default().partition_in_order(&snap, 4, &order, 1).unwrap();
         let materialized = inc.materialize(&snap).unwrap();
         assert_eq!(materialized.assignments(), one_shot.assignments());
     }
@@ -1129,7 +1017,7 @@ mod tests {
         let spec = StreamSpec::paper_default(6, 2);
         let plan = StreamPlan::generate(&g, &spec).unwrap();
         for name in ["Random", "DBH", "HDRF", "2PS-L", "HEP-10", "HEP-100"] {
-            let full = full_edge_partitioner(name).unwrap().partition_edges(&g, 4, 1).unwrap();
+            let full = registry::edge_partitioner(name).unwrap().partition_edges(&g, 4, 1).unwrap();
             let mut inc = IncrementalEdgePartitioner::from_partition(name, &g, &full, 1).unwrap();
             let mut sg = StreamGraph::new(&g);
             for batch in plan.batches() {
@@ -1154,7 +1042,7 @@ mod tests {
         let spec = StreamSpec::paper_default(6, 2);
         let plan = StreamPlan::generate(&g, &spec).unwrap();
         for name in ["Random", "LDG", "Spinner", "METIS", "ByteGNN", "KaHIP"] {
-            let full = full_vertex_partitioner(name, Some(vec![0, 1, 2]))
+            let full = registry::vertex_partitioner(name, Some(vec![0, 1, 2]))
                 .unwrap()
                 .partition_vertices(&g, 4, 1)
                 .unwrap();
@@ -1162,24 +1050,7 @@ mod tests {
             let mut sg = StreamGraph::new(&g);
             for batch in plan.batches() {
                 sg.apply(batch).unwrap();
-                let first_new = sg.num_vertices() - batch.new_vertices;
-                for v in first_new..sg.num_vertices() {
-                    let neighbors: Vec<u32> = batch
-                        .inserts
-                        .iter()
-                        .filter_map(|&(a, b)| {
-                            let w = if a == v {
-                                b
-                            } else if b == v {
-                                a
-                            } else {
-                                return None;
-                            };
-                            inc.partition_of(w)
-                        })
-                        .collect();
-                    inc.place_vertex(v, &neighbors).unwrap();
-                }
+                inc.place_arrivals(batch, sg.num_vertices() - batch.new_vertices).unwrap();
             }
             let snap = sg.snapshot().unwrap();
             let part = inc.materialize(&snap).unwrap();
@@ -1311,7 +1182,7 @@ mod tests {
         };
         let plan = StreamPlan::generate(&g, &spec).unwrap();
         for name in ["Random", "DBH", "HDRF", "2PS-L", "HEP-10", "HEP-100"] {
-            let full = full_edge_partitioner(name).unwrap();
+            let full = registry::edge_partitioner(name).unwrap();
             let p0 = full.partition_edges(&g, 4, 1).unwrap();
             let mut inc = IncrementalEdgePartitioner::from_partition(name, &g, &p0, 1).unwrap();
             let mut map: HashMap<(u32, u32), u32> =

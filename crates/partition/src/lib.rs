@@ -30,20 +30,25 @@
 //! replication factor, edge/vertex balance, edge-cut ratio,
 //! training-vertex balance — live in [`metrics`] and on the assignment
 //! types themselves.
+//!
+//! [`registry`] is the one name → constructor table for all fifteen;
+//! [`incremental`] runs the streaming ones online, sharing each one-shot
+//! partitioner's decision rule.
 
 pub mod assignment;
 pub mod edge_cut;
 pub mod error;
 pub mod incremental;
 pub mod metrics;
+pub mod registry;
 pub mod traits;
 pub mod vertex_cut;
 
 pub use assignment::{EdgePartition, VertexPartition, MAX_PARTITIONS};
 pub use error::PartitionError;
 pub use incremental::{
-    full_edge_partitioner, full_vertex_partitioner, modeled_partition_seconds,
-    IncrementalEdgePartitioner, IncrementalVertexPartitioner, RepartitionPolicy,
+    modeled_partition_seconds, IncrementalEdgePartitioner, IncrementalVertexPartitioner,
+    RepartitionPolicy,
 };
 pub use traits::{EdgePartitioner, VertexPartitioner};
 
@@ -55,8 +60,8 @@ pub mod prelude {
     };
     pub use crate::error::PartitionError;
     pub use crate::incremental::{
-        full_edge_partitioner, full_vertex_partitioner, modeled_partition_seconds,
-        IncrementalEdgePartitioner, IncrementalVertexPartitioner, RepartitionPolicy,
+        modeled_partition_seconds, IncrementalEdgePartitioner, IncrementalVertexPartitioner,
+        RepartitionPolicy,
     };
     pub use crate::traits::{EdgePartitioner, VertexPartitioner};
     pub use crate::vertex_cut::{Dbh, Greedy, Grid2d, Hdrf, Hep, RandomEdgePartitioner, TwoPsL};

@@ -1,6 +1,12 @@
-//! Partitioner registry: every algorithm of the paper's Table 2 by name.
+//! Partitioner registry: every algorithm of the paper's Table 2, and the
+//! extensions beyond it, by name.
+//!
+//! This is the one name → constructor table of the workspace: the
+//! engines' repartition hooks, the experiment harness (`gp_core`
+//! re-exports this module as `gp_core::registry`), the CLI and the
+//! benchmarks all construct partitioners here.
 
-use gp_partition::prelude::*;
+use crate::prelude::*;
 
 /// Names of the six edge partitioners (vertex-cut), baseline first.
 pub const EDGE_PARTITIONERS: [&str; 6] = ["Random", "DBH", "HDRF", "2PS-L", "HEP-10", "HEP-100"];
@@ -92,10 +98,12 @@ mod tests {
     #[test]
     fn extensions_resolve_too() {
         for name in EXTENSION_EDGE_PARTITIONERS {
-            assert!(edge_partitioner(name).is_some(), "{name}");
+            let p = edge_partitioner(name).unwrap_or_else(|| panic!("{name} missing"));
+            assert_eq!(p.name(), name);
         }
         for name in EXTENSION_VERTEX_PARTITIONERS {
-            assert!(vertex_partitioner(name, None).is_some(), "{name}");
+            let p = vertex_partitioner(name, None).unwrap_or_else(|| panic!("{name} missing"));
+            assert_eq!(p.name(), name);
         }
     }
 

@@ -33,15 +33,20 @@ impl EdgePartitioner for Dbh {
         }
         let mut assignments = Vec::with_capacity(graph.num_edges() as usize);
         for (u, v) in graph.edges() {
-            let (du, dv) = (graph.degree(u), graph.degree(v));
-            // Hash the lower-degree endpoint; ties broken by id for
-            // determinism.
-            let key = if du < dv || (du == dv && u <= v) { u } else { v };
-            let h = mix64(u64::from(key) ^ seed);
-            assignments.push((h % u64::from(k)) as u32);
+            assignments.push(dbh_choose((u, v), (graph.degree(u), graph.degree(v)), seed, k));
         }
         EdgePartition::new(graph, k, assignments)
     }
+}
+
+/// DBH's rule for edge `(u, v)` with endpoint degrees `(du, dv)`: hash
+/// the lower-degree endpoint, ties broken by id for determinism. Shared
+/// with the online core of `crate::incremental`, which passes live
+/// degrees.
+#[inline]
+pub(crate) fn dbh_choose((u, v): (u32, u32), (du, dv): (u32, u32), seed: u64, k: u32) -> u32 {
+    let key = if du < dv || (du == dv && u <= v) { u } else { v };
+    (mix64(u64::from(key) ^ seed) % u64::from(k)) as u32
 }
 
 #[cfg(test)]

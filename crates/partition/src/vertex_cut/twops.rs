@@ -58,64 +58,15 @@ impl EdgePartitioner for TwoPsL {
         }
 
         // ---- Phase 1: streaming clustering (union by volume). ----
-        // cluster id per vertex; UNASSIGNED = u32::MAX.
-        const NONE: u32 = u32::MAX;
-        let mut cluster = vec![NONE; n];
+        let mut cluster = vec![UNCLUSTERED; n];
         // Volume (sum of degrees) per cluster, indexed by cluster id.
         let mut volume: Vec<u64> = Vec::new();
         // Cap a cluster's volume at 2|E| * 2 / k, i.e. the degree volume
         // of one ideally-sized partition (each edge contributes 2).
         let volume_cap = (2 * m).div_ceil(u64::from(k)).max(2);
-
         for (u, v) in graph.edges() {
-            let (ui, vi) = (u as usize, v as usize);
-            let du = u64::from(graph.degree(u));
-            let dv = u64::from(graph.degree(v));
-            match (cluster[ui], cluster[vi]) {
-                (NONE, NONE) => {
-                    let id = volume.len() as u32;
-                    volume.push(du + dv);
-                    cluster[ui] = id;
-                    cluster[vi] = id;
-                }
-                (cu, NONE) => {
-                    if volume[cu as usize] + dv <= volume_cap {
-                        cluster[vi] = cu;
-                        volume[cu as usize] += dv;
-                    } else {
-                        let id = volume.len() as u32;
-                        volume.push(dv);
-                        cluster[vi] = id;
-                    }
-                }
-                (NONE, cv) => {
-                    if volume[cv as usize] + du <= volume_cap {
-                        cluster[ui] = cv;
-                        volume[cv as usize] += du;
-                    } else {
-                        let id = volume.len() as u32;
-                        volume.push(du);
-                        cluster[ui] = id;
-                    }
-                }
-                (cu, cv) if cu != cv => {
-                    // Move the endpoint in the smaller cluster over if the
-                    // larger cluster has room (2PS-L's "rescue" step, kept
-                    // O(1) per edge).
-                    let (small_v, small_c, big_c, dw) =
-                        if volume[cu as usize] <= volume[cv as usize] {
-                            (ui, cu, cv, du)
-                        } else {
-                            (vi, cv, cu, dv)
-                        };
-                    if volume[big_c as usize] + dw <= volume_cap {
-                        cluster[small_v] = big_c;
-                        volume[big_c as usize] += dw;
-                        volume[small_c as usize] = volume[small_c as usize].saturating_sub(dw);
-                    }
-                }
-                _ => {}
-            }
+            let (du, dv) = (u64::from(graph.degree(u)), u64::from(graph.degree(v)));
+            cluster_phase1(&mut cluster, &mut volume, volume_cap, u as usize, v as usize, du, dv);
         }
 
         // ---- Map clusters to partitions: first-fit decreasing. ----
@@ -138,36 +89,107 @@ impl EdgePartitioner for TwoPsL {
             let (ui, vi) = (u as usize, v as usize);
             let pu = cluster_part[cluster[ui] as usize];
             let pv = cluster_part[cluster[vi] as usize];
-            let mut p = if pu == pv {
-                pu
-            } else {
-                // Prefer a partition where a replica already exists, then
-                // the less-loaded of the two candidates.
-                let ru = replicas[ui] | replicas[vi];
-                let u_has = ru & (1u64 << pu) != 0;
-                let v_has = ru & (1u64 << pv) != 0;
-                match (u_has, v_has) {
-                    (true, false) => pu,
-                    (false, true) => pv,
-                    _ => {
-                        if load[pu as usize] <= load[pv as usize] {
-                            pu
-                        } else {
-                            pv
-                        }
-                    }
-                }
-            };
-            if load[p as usize] >= cap {
-                // Balance cap exceeded: spill to the least-loaded partition.
-                p = (0..k).min_by_key(|&q| load[q as usize]).expect("k >= 1");
-            }
+            let p = twops_place(pu, pv, replicas[ui] | replicas[vi], &load, cap);
             assignments.push(p);
             load[p as usize] += 1;
             replicas[ui] |= 1u64 << p;
             replicas[vi] |= 1u64 << p;
         }
         EdgePartition::new(graph, k, assignments)
+    }
+}
+
+/// Cluster id of a vertex no phase-1 update has reached yet.
+pub(crate) const UNCLUSTERED: u32 = u32::MAX;
+
+/// 2PS-L's phase-1 clustering update for edge `{ui, vi}` with endpoint
+/// degrees `du`, `dv`, shared by the one-shot partitioner and the online
+/// core of `crate::incremental`. Returns the id of a newly born cluster,
+/// if any.
+#[inline]
+pub(crate) fn cluster_phase1(
+    cluster: &mut [u32],
+    volume: &mut Vec<u64>,
+    volume_cap: u64,
+    ui: usize,
+    vi: usize,
+    du: u64,
+    dv: u64,
+) -> Option<u32> {
+    match (cluster[ui], cluster[vi]) {
+        (UNCLUSTERED, UNCLUSTERED) => {
+            let id = volume.len() as u32;
+            volume.push(du + dv);
+            cluster[ui] = id;
+            cluster[vi] = id;
+            Some(id)
+        }
+        (cu, UNCLUSTERED) => {
+            if volume[cu as usize] + dv <= volume_cap {
+                cluster[vi] = cu;
+                volume[cu as usize] += dv;
+                None
+            } else {
+                let id = volume.len() as u32;
+                volume.push(dv);
+                cluster[vi] = id;
+                Some(id)
+            }
+        }
+        (UNCLUSTERED, cv) => {
+            if volume[cv as usize] + du <= volume_cap {
+                cluster[ui] = cv;
+                volume[cv as usize] += du;
+                None
+            } else {
+                let id = volume.len() as u32;
+                volume.push(du);
+                cluster[ui] = id;
+                Some(id)
+            }
+        }
+        (cu, cv) if cu != cv => {
+            // 2PS-L's O(1) "rescue" step: move the endpoint sitting in
+            // the smaller cluster into the larger one if it has room.
+            let (small_v, small_c, big_c, dw) = if volume[cu as usize] <= volume[cv as usize] {
+                (ui, cu, cv, du)
+            } else {
+                (vi, cv, cu, dv)
+            };
+            if volume[big_c as usize] + dw <= volume_cap {
+                cluster[small_v] = big_c;
+                volume[big_c as usize] += dw;
+                volume[small_c as usize] = volume[small_c as usize].saturating_sub(dw);
+            }
+            None
+        }
+        _ => None,
+    }
+}
+
+/// 2PS-L's phase-2 placement of an edge whose endpoints' clusters map to
+/// `pu` and `pv`, shared by the one-shot partitioner and the online core
+/// of `crate::incremental`. The same partition wins outright; otherwise
+/// the one already holding a replica of an endpoint (`replicas` is the
+/// union of both endpoints' replica bitmasks), then the less-loaded
+/// candidate. A choice at the edge-balance cap spills to the
+/// least-loaded partition.
+#[inline]
+pub(crate) fn twops_place(pu: u32, pv: u32, replicas: u64, load: &[u64], cap: u64) -> u32 {
+    let p = if pu == pv {
+        pu
+    } else {
+        match (replicas & (1u64 << pu) != 0, replicas & (1u64 << pv) != 0) {
+            (true, false) => pu,
+            (false, true) => pv,
+            _ if load[pu as usize] <= load[pv as usize] => pu,
+            _ => pv,
+        }
+    };
+    if load[p as usize] >= cap {
+        (0..load.len() as u32).min_by_key(|&q| load[q as usize]).expect("k >= 1")
+    } else {
+        p
     }
 }
 

@@ -11,6 +11,7 @@
 use gp_graph::rng::Rng;
 use gp_graph::{Graph, GraphBuilder, StreamGraph, StreamPlan, StreamSpec};
 use gp_partition::prelude::*;
+use gp_partition::registry::edge_partitioner;
 
 /// Cases per property; each case runs whole partitioners.
 const CASES: u64 = 24;
@@ -283,29 +284,13 @@ fn ldg_incremental_equals_one_shot_universally() {
         inc.provision_capacity(n);
         for batch in plan.batches() {
             sg.apply(batch).expect("valid");
-            let first_new = sg.num_vertices() - batch.new_vertices;
-            for v in first_new..sg.num_vertices() {
-                let neighbors: Vec<u32> = batch
-                    .inserts
-                    .iter()
-                    .filter_map(|&(a, b)| {
-                        let w = if a == v {
-                            b
-                        } else if b == v {
-                            a
-                        } else {
-                            return None;
-                        };
-                        inc.partition_of(w)
-                    })
-                    .collect();
-                inc.place_vertex(v, &neighbors).expect("fresh vertex");
-            }
+            inc.place_arrivals(batch, sg.num_vertices() - batch.new_vertices)
+                .expect("fresh vertices");
         }
         let snap = sg.snapshot().expect("snapshot");
         assert_eq!(snap.num_vertices(), n, "seed {seed}");
         let order: Vec<u32> = (0..n).collect();
-        let one_shot = Ldg::default().partition_in_order(&snap, k, &order).expect("valid");
+        let one_shot = Ldg::default().partition_in_order(&snap, k, &order, 1).expect("valid");
         let materialized = inc.materialize(&snap).expect("tracked");
         assert_eq!(materialized.assignments(), one_shot.assignments(), "seed {seed}");
     }
@@ -331,7 +316,7 @@ fn ledger_matches_materialized_truth_under_churn() {
         };
         let plan = StreamPlan::generate(&g, &spec).expect("valid");
         for name in ["Random", "DBH", "HDRF", "2PS-L", "HEP-10"] {
-            let full = full_edge_partitioner(name)
+            let full = edge_partitioner(name)
                 .expect("roster name")
                 .partition_edges(&g, k, part_seed)
                 .expect("valid");
