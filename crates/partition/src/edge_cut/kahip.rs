@@ -52,8 +52,7 @@ impl VertexPartitioner for Kahip {
         let mut best: Option<(u64, Vec<u32>)> = None;
         for rep in 0..self.repetitions {
             let rep_seed = seed.wrapping_add(u64::from(rep).wrapping_mul(0x51ed_2701));
-            let labels =
-                multilevel_kway(graph, k, rep_seed, self.epsilon, self.refine_passes, true);
+            let labels = multilevel_kway(&wg, k, rep_seed, self.epsilon, self.refine_passes, true);
             let cut = cut_weight(&wg, &labels);
             if best.as_ref().is_none_or(|(c, _)| cut < *c) {
                 best = Some((cut, labels));

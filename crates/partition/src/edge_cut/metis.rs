@@ -8,7 +8,7 @@
 use gp_graph::Graph;
 
 use crate::assignment::VertexPartition;
-use crate::edge_cut::multilevel::multilevel_kway;
+use crate::edge_cut::multilevel::{multilevel_kway, WeightedGraph};
 use crate::error::PartitionError;
 use crate::traits::VertexPartitioner;
 
@@ -44,7 +44,8 @@ impl VertexPartitioner for Metis {
         if self.epsilon < 0.0 {
             return Err(PartitionError::InvalidParameter("epsilon must be >= 0".into()));
         }
-        let labels = multilevel_kway(graph, k, seed, self.epsilon, self.refine_passes, false);
+        let wg = WeightedGraph::from_graph(graph);
+        let labels = multilevel_kway(&wg, k, seed, self.epsilon, self.refine_passes, false);
         VertexPartition::new(graph, k, labels)
     }
 }

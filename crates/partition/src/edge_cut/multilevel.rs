@@ -49,43 +49,60 @@ impl WeightedGraph {
 
     /// Build the level-0 weighted graph from a [`Graph`]: direction is
     /// ignored (the cut metric is symmetric) and parallel arcs collapse
-    /// into one weighted edge.
+    /// into one weighted edge. Every neighbour list is ascending, the
+    /// order the coarsening tie-breaks depend on.
+    ///
+    /// O(n + m), by a counting-sort transpose: the sources are walked in
+    /// increasing order and each is appended to the lists of its out-
+    /// (and, for directed graphs, in-) neighbours. Every list then comes
+    /// out ascending, with the arcs between one pair of vertices next to
+    /// each other, and each such run collapses into one edge weighted by
+    /// its length (2 for a reciprocated pair of arcs). A self-loop's run
+    /// holds both ends of each loop; it stays two entries, each weighted
+    /// by the number of loops.
     pub fn from_graph(graph: &Graph) -> Self {
+        let _prof = gp_prof::scope("partition.multilevel.level0");
         let n = graph.num_vertices() as usize;
-        // Collect symmetrised, deduplicated neighbour lists with weights.
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(graph.num_edges() as usize);
-        for (u, v) in graph.edges() {
-            pairs.push((u.min(v), u.max(v)));
-        }
-        pairs.sort_unstable();
-        let mut deg = vec![0u32; n];
-        let mut uniq: Vec<(u32, u32, u64)> = Vec::with_capacity(pairs.len());
-        for &(u, v) in &pairs {
-            if let Some(last) = uniq.last_mut() {
-                if last.0 == u && last.1 == v {
-                    last.2 += 1;
-                    continue;
-                }
-            }
-            uniq.push((u, v, 1));
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
-        }
         let mut offsets = vec![0u32; n + 1];
         for v in 0..n {
-            offsets[v + 1] = offsets[v] + deg[v];
+            offsets[v + 1] = offsets[v] + graph.degree(v as u32);
         }
         let mut targets = vec![0u32; offsets[n] as usize];
-        let mut weights = vec![0u64; offsets[n] as usize];
         let mut cursor = offsets[..n].to_vec();
-        for &(u, v, w) in &uniq {
-            targets[cursor[u as usize] as usize] = v;
-            weights[cursor[u as usize] as usize] = w;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize] as usize] = u;
-            weights[cursor[v as usize] as usize] = w;
-            cursor[v as usize] += 1;
+        // Entries of the collapsed lists, counted as the runs start.
+        let mut entries = 0usize;
+        for u in 0..n as u32 {
+            let ins: &[u32] = if graph.is_directed() { graph.in_neighbors(u) } else { &[] };
+            for &w in graph.out_neighbors(u).iter().chain(ins) {
+                let (lo, at) = (offsets[w as usize], cursor[w as usize]);
+                if at == lo || targets[at as usize - 1] != u {
+                    entries += if u == w { 2 } else { 1 };
+                }
+                targets[at as usize] = u;
+                cursor[w as usize] += 1;
+            }
         }
+        drop(cursor);
+        // Collapse the runs in place; `offsets[v]` already holds v's new start.
+        let mut weights = Vec::with_capacity(entries);
+        let mut read = 0usize;
+        for v in 0..n {
+            let hi = offsets[v + 1] as usize;
+            while read < hi {
+                let t = targets[read];
+                let run = targets[read..hi].iter().take_while(|&&x| x == t).count();
+                read += run;
+                let (weight, copies) =
+                    if t as usize == v { (run as u64 / 2, 2) } else { (run as u64, 1) };
+                for _ in 0..copies {
+                    targets[weights.len()] = t;
+                    weights.push(weight);
+                }
+            }
+            offsets[v + 1] = weights.len() as u32;
+        }
+        targets.truncate(weights.len());
+        targets.shrink_to_fit();
         WeightedGraph { vertex_weights: vec![1; n], offsets, targets, weights }
     }
 }
@@ -167,14 +184,24 @@ pub fn coarsen(g: &WeightedGraph, seed: u64, max_cluster_weight: u64) -> (Weight
     let mut touched: Vec<u32> = Vec::new();
     let mut deg = vec![0u32; cn];
     let mut coarse_edges: Vec<(u32, u32, u64)> = Vec::new();
-    // Group fine vertices by coarse id for a cache-friendly sweep.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); cn];
-    for v in 0..n as u32 {
-        members[map[v as usize] as usize].push(v);
+    // Group fine vertices by coarse id (ascending within each group) with
+    // a counting sort, for a cache-friendly sweep.
+    let mut group_start = vec![0u32; cn + 1];
+    for &c in &map {
+        group_start[c as usize + 1] += 1;
     }
-    for (cv, group) in members.iter().enumerate() {
+    for c in 0..cn {
+        group_start[c + 1] += group_start[c];
+    }
+    let mut members = vec![0u32; n];
+    let mut cursor = group_start[..cn].to_vec();
+    for (v, &c) in map.iter().enumerate() {
+        members[cursor[c as usize] as usize] = v as u32;
+        cursor[c as usize] += 1;
+    }
+    for cv in 0..cn {
         touched.clear();
-        for &v in group {
+        for &v in &members[group_start[cv] as usize..group_start[cv + 1] as usize] {
             for (w, ew) in g.neighbors(v) {
                 let cw = map[w as usize];
                 if cw as usize == cv {
@@ -296,38 +323,33 @@ pub fn refine(
     allow_balance_moves: bool,
 ) {
     let n = g.len();
+    let kk = k as usize;
     let total = g.total_vertex_weight();
     let max_load = ((1.0 + epsilon) * total as f64 / f64::from(k)).ceil() as u64;
-    let mut loads = vec![0u64; k as usize];
+    let mut loads = vec![0u64; kk];
     for v in 0..n {
         loads[labels[v] as usize] += g.vertex_weights[v];
     }
-    let mut conn = vec![0u64; k as usize];
+    let (mut conn, wdeg) = connectivity(g, labels, k);
     for _ in 0..passes {
         let mut moves = 0usize;
-        for v in 0..n as u32 {
-            let vw = g.vertex_weights[v as usize];
-            let current = labels[v as usize];
-            conn.iter_mut().for_each(|c| *c = 0);
-            let mut boundary = false;
-            for (w, ew) in g.neighbors(v) {
-                let lw = labels[w as usize];
-                conn[lw as usize] += ew;
-                if lw != current {
-                    boundary = true;
-                }
-            }
-            if !boundary {
+        for v in 0..n {
+            let current = labels[v];
+            let row = &conn[v * kk..(v + 1) * kk];
+            // Every edge weight is >= 1, so v is interior (every neighbour
+            // shares its label) iff all of its weight stays at home.
+            if row[current as usize] == wdeg[v] {
                 continue;
             }
-            let here = conn[current as usize];
+            let vw = g.vertex_weights[v];
+            let here = row[current as usize];
             let mut best = current;
             let mut best_gain = 0i64;
             for p in 0..k {
                 if p == current || loads[p as usize] + vw > max_load {
                     continue;
                 }
-                let gain = conn[p as usize] as i64 - here as i64;
+                let gain = row[p as usize] as i64 - here as i64;
                 let better = gain > best_gain
                     || (allow_balance_moves
                         && gain == best_gain
@@ -340,14 +362,36 @@ pub fn refine(
             if best != current {
                 loads[current as usize] -= vw;
                 loads[best as usize] += vw;
-                labels[v as usize] = best;
+                labels[v] = best;
                 moves += 1;
+                for (w, ew) in g.neighbors(v as u32) {
+                    let at = w as usize * kk;
+                    conn[at + current as usize] -= ew;
+                    conn[at + best as usize] += ew;
+                }
             }
         }
+        debug_assert!(conn == connectivity(g, labels, k).0, "refine: stale connectivity table");
         if moves == 0 {
             break;
         }
     }
+}
+
+/// The n×k connectivity table of a labelling (`conn[v * k + p]` is the
+/// weight of v's edges into partition p) and each vertex's weighted
+/// degree.
+fn connectivity(g: &WeightedGraph, labels: &[u32], k: u32) -> (Vec<u64>, Vec<u64>) {
+    let kk = k as usize;
+    let mut conn = vec![0u64; g.len() * kk];
+    let mut wdeg = vec![0u64; g.len()];
+    for v in 0..g.len() {
+        for (w, ew) in g.neighbors(v as u32) {
+            conn[v * kk + labels[w as usize] as usize] += ew;
+            wdeg[v] += ew;
+        }
+    }
+    (conn, wdeg)
 }
 
 /// Cut weight of a labelling (each undirected weighted edge counted once).
@@ -363,17 +407,16 @@ pub fn cut_weight(g: &WeightedGraph, labels: &[u32]) -> u64 {
     cut
 }
 
-/// Full multilevel k-way run. Returns per-vertex labels for the original
-/// graph.
+/// Full multilevel k-way run over a level-0 graph built once by the
+/// caller. Returns per-vertex labels for it.
 pub fn multilevel_kway(
-    graph: &Graph,
+    base: &WeightedGraph,
     k: u32,
     seed: u64,
     epsilon: f64,
     refine_passes: u32,
     allow_balance_moves: bool,
 ) -> Vec<u32> {
-    let base = WeightedGraph::from_graph(graph);
     if k == 1 {
         return vec![0; base.len()];
     }
@@ -382,40 +425,41 @@ pub fn multilevel_kway(
     let total_weight = base.total_vertex_weight();
     let coarsen_limit = (30 * k as usize).max(128);
     let max_cluster_weight = (total_weight / (10 * u64::from(k)).max(1)).max(2);
+    // `levels[i]` holds the graph of level i + 1 and the map from level i
+    // onto it; level 0 is `base`, borrowed.
     let mut levels: Vec<(WeightedGraph, Vec<u32>)> = Vec::new();
-    let mut current = base;
     let mut level_seed = seed;
     let coarsening = gp_prof::scope("partition.multilevel.coarsen");
-    while current.len() > coarsen_limit {
+    loop {
+        let current = levels.last().map_or(base, |(g, _)| g);
         let before = current.len();
-        let (coarse, map) = coarsen(&current, level_seed, max_cluster_weight);
+        if before <= coarsen_limit {
+            break;
+        }
+        let (coarse, map) = coarsen(current, level_seed, max_cluster_weight);
         level_seed = level_seed.wrapping_add(0x9e37_79b9);
         let after = coarse.len();
-        levels.push((std::mem::replace(&mut current, coarse), map));
+        levels.push((coarse, map));
         // Stop if clustering stalls.
         if (after as f64) > 0.95 * before as f64 {
             break;
         }
     }
     drop(coarsening);
+    let coarsest = levels.last().map_or(base, |(g, _)| g);
     // Initial partition on the coarsest level.
     let mut labels = {
         let _prof = gp_prof::scope("partition.multilevel.initial");
-        initial_partition(&current, k, seed ^ 0xabcd)
+        initial_partition(coarsest, k, seed ^ 0xabcd)
     };
     // Uncoarsening with refinement at every level.
     let _prof = gp_prof::scope("partition.multilevel.refine");
-    refine(&current, &mut labels, k, epsilon, refine_passes, allow_balance_moves);
-    while let Some((fine, map)) = levels.pop() {
-        let mut fine_labels = vec![0u32; fine.len()];
-        for v in 0..fine.len() {
-            fine_labels[v] = labels[map[v] as usize];
-        }
-        labels = fine_labels;
-        refine(&fine, &mut labels, k, epsilon, refine_passes, allow_balance_moves);
-        current = fine;
+    refine(coarsest, &mut labels, k, epsilon, refine_passes, allow_balance_moves);
+    while let Some((_, map)) = levels.pop() {
+        let fine = levels.last().map_or(base, |(g, _)| g);
+        labels = map.iter().map(|&c| labels[c as usize]).collect();
+        refine(fine, &mut labels, k, epsilon, refine_passes, allow_balance_moves);
     }
-    let _ = current;
     labels
 }
 
@@ -440,6 +484,19 @@ mod tests {
         let wg = WeightedGraph::from_graph(&g);
         let n0: Vec<_> = wg.neighbors(0).collect();
         assert_eq!(n0, vec![(1, 2)]);
+    }
+
+    #[test]
+    fn from_graph_collapses_arcs_into_ascending_weighted_lists() {
+        // 0 <-> 1 and 2 <-> 3 reciprocated, 0 -> 3 and 3 -> 1 one-way, a
+        // self-loop on 2, and 4 isolated; arcs listed out of order.
+        let arcs = [(3, 2), (0, 3), (2, 2), (1, 0), (3, 1), (2, 3), (0, 1)];
+        let g = gp_graph::Graph::from_edges(5, &arcs, true).unwrap();
+        let wg = WeightedGraph::from_graph(&g);
+        assert_eq!(wg.vertex_weights, vec![1; 5]);
+        assert_eq!(wg.offsets, vec![0, 2, 4, 7, 10, 10]);
+        assert_eq!(wg.targets, vec![1, 3, 0, 3, 2, 2, 3, 0, 1, 2]);
+        assert_eq!(wg.weights, vec![2, 1, 2, 1, 1, 1, 2, 1, 1, 2]);
     }
 
     #[test]
@@ -491,22 +548,22 @@ mod tests {
     fn multilevel_beats_naive_split_on_grid() {
         let g = grid_graph();
         let wg = WeightedGraph::from_graph(&g);
-        let labels = multilevel_kway(&g, 4, 0, 0.05, 4, false);
+        let labels = multilevel_kway(&wg, 4, 0, 0.05, 4, false);
         let naive: Vec<u32> = (0..wg.len() as u32).map(|v| v % 4).collect();
         assert!(cut_weight(&wg, &labels) < cut_weight(&wg, &naive) / 2);
     }
 
     #[test]
     fn multilevel_k1_trivial() {
-        let g = grid_graph();
-        let labels = multilevel_kway(&g, 1, 0, 0.05, 2, false);
+        let wg = WeightedGraph::from_graph(&grid_graph());
+        let labels = multilevel_kway(&wg, 1, 0, 0.05, 2, false);
         assert!(labels.iter().all(|&l| l == 0));
     }
 
     #[test]
     fn multilevel_respects_balance() {
-        let g = skewed_graph();
-        let labels = multilevel_kway(&g, 8, 0, 0.05, 4, false);
+        let wg = WeightedGraph::from_graph(&skewed_graph());
+        let labels = multilevel_kway(&wg, 8, 0, 0.05, 4, false);
         let mut loads = [0u64; 8];
         for &l in &labels {
             loads[l as usize] += 1;

@@ -66,7 +66,11 @@ impl VertexPartitioner for Spinner {
             load[labels[v as usize] as usize] += degree(v);
         }
 
-        let mut counts = vec![0u64; k as usize];
+        // counts[v * k + p]: arcs between v and vertices labelled p, kept
+        // under moves.
+        let propagating = gp_prof::scope("partition.spinner.propagate");
+        let kk = k as usize;
+        let mut counts = label_counts(graph, &labels, k);
         for _iter in 0..self.max_iters {
             let mut changed = 0usize;
             for v in graph.vertices() {
@@ -74,15 +78,7 @@ impl VertexPartitioner for Spinner {
                 if d == 0 {
                     continue;
                 }
-                counts.iter_mut().for_each(|c| *c = 0);
-                for &w in graph.out_neighbors(v) {
-                    counts[labels[w as usize] as usize] += 1;
-                }
-                if graph.is_directed() {
-                    for &w in graph.in_neighbors(v) {
-                        counts[labels[w as usize] as usize] += 1;
-                    }
-                }
+                let row = &counts[v as usize * kk..(v as usize + 1) * kk];
                 let current = labels[v as usize];
                 let mut best = current;
                 let mut best_score = f64::NEG_INFINITY;
@@ -93,7 +89,7 @@ impl VertexPartitioner for Spinner {
                     if projected > capacity {
                         continue;
                     }
-                    let affinity = counts[p as usize] as f64 / d as f64;
+                    let affinity = f64::from(row[p as usize]) / d as f64;
                     let penalty = load[p as usize] as f64 / capacity as f64;
                     let mut score = affinity - penalty;
                     // Slight stickiness avoids label oscillation.
@@ -110,14 +106,41 @@ impl VertexPartitioner for Spinner {
                     load[best as usize] += d;
                     labels[v as usize] = best;
                     changed += 1;
+                    for &w in arcs(graph, v) {
+                        let at = w as usize * kk;
+                        counts[at + current as usize] -= 1;
+                        counts[at + best as usize] += 1;
+                    }
                 }
             }
+            debug_assert!(counts == label_counts(graph, &labels, k), "Spinner: stale label counts");
             if (changed as f64) < self.convergence_threshold * n as f64 {
                 break;
             }
         }
+        drop(propagating);
         VertexPartition::new(graph, k, labels)
     }
+}
+
+/// Out- and (for directed graphs) in-neighbours of `v`: the arcs
+/// Spinner's label counts range over.
+fn arcs(graph: &Graph, v: u32) -> impl Iterator<Item = &u32> {
+    let ins: &[u32] = if graph.is_directed() { graph.in_neighbors(v) } else { &[] };
+    graph.out_neighbors(v).iter().chain(ins)
+}
+
+/// The n×k table of neighbour-label counts (`counts[v * k + p]` arcs
+/// between v and vertices labelled p).
+fn label_counts(graph: &Graph, labels: &[u32], k: u32) -> Vec<u32> {
+    let kk = k as usize;
+    let mut counts = vec![0u32; graph.num_vertices() as usize * kk];
+    for v in graph.vertices() {
+        for &w in arcs(graph, v) {
+            counts[v as usize * kk + labels[w as usize] as usize] += 1;
+        }
+    }
+    counts
 }
 
 #[cfg(test)]

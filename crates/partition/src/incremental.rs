@@ -366,10 +366,7 @@ impl IncrementalEdgePartitioner {
                             .expect("k >= 1")
                     })
                     .collect();
-                *part_volume = vec![0u64; k as usize];
-                for (c, &vol) in volume.iter().enumerate() {
-                    part_volume[cluster_part[c] as usize] += vol;
-                }
+                *part_volume = part_volumes(volume, cluster_part, k);
             }
             _ => {}
         }
@@ -506,8 +503,10 @@ impl IncrementalEdgePartitioner {
                 let volume_cap = (2 * *m_seen).div_ceil(u64::from(k)).max(2);
                 let du = u64::from(self.degrees[ui]);
                 let dv = u64::from(self.degrees[vi]);
-                let grew = cluster_phase1(cluster, volume, volume_cap, ui, vi, du, dv);
-                sync_cluster_parts(volume, part_volume, cluster_part, grew, k);
+                let touched = [cluster[ui], cluster[vi]]
+                    .map(|c| (c, volume.get(c as usize).copied().unwrap_or(0)));
+                let born = cluster_phase1(cluster, volume, volume_cap, ui, vi, du, dv);
+                sync_cluster_parts(volume, part_volume, cluster_part, touched, born, k);
                 // Phase 2 against the dynamic edge-balance cap.
                 let pu = cluster_part[cluster[ui] as usize];
                 let pv = cluster_part[cluster[vi] as usize];
@@ -615,13 +614,17 @@ impl IncrementalEdgePartitioner {
 }
 
 /// Keep the online cluster → partition map in sync after a phase-1
-/// update: a newborn cluster is pinned to the least-volume partition;
-/// volume growth of existing clusters is re-tallied from scratch (k and
-/// cluster counts are small at the scales this harness runs).
+/// update. Phase 1 changes the volume of at most two clusters: the
+/// endpoints' clusters before the update (`touched`, each with its
+/// volume then; `UNCLUSTERED` for an endpoint that had none), by growth
+/// or the rescue move, or it gives birth to one cluster, which is pinned
+/// to the least-volume partition. Each changed volume moves its
+/// partition's total by its own delta.
 fn sync_cluster_parts(
     volume: &[u64],
     part_volume: &mut [u64],
     cluster_part: &mut Vec<u32>,
+    touched: [(u32, u64); 2],
     born: Option<u32>,
     k: u32,
 ) {
@@ -629,11 +632,28 @@ fn sync_cluster_parts(
         debug_assert_eq!(id as usize, cluster_part.len());
         let p = (0..k).min_by_key(|&p| part_volume[p as usize]).expect("k >= 1");
         cluster_part.push(p);
+        part_volume[p as usize] += volume[id as usize];
     }
-    part_volume.iter_mut().for_each(|v| *v = 0);
+    for (i, &(c, before)) in touched.iter().enumerate() {
+        if c == UNCLUSTERED || (i == 1 && c == touched[0].0) {
+            continue;
+        }
+        let p = cluster_part[c as usize] as usize;
+        part_volume[p] = part_volume[p] - before + volume[c as usize];
+    }
+    debug_assert!(
+        part_volume == part_volumes(volume, cluster_part, k),
+        "online 2PS-L: partition volumes out of step with the clusters"
+    );
+}
+
+/// Degree volume mapped onto each partition, tallied from the clusters.
+fn part_volumes(volume: &[u64], cluster_part: &[u32], k: u32) -> Vec<u64> {
+    let mut part_volume = vec![0u64; k as usize];
     for (c, &vol) in volume.iter().enumerate() {
         part_volume[cluster_part[c] as usize] += vol;
     }
+    part_volume
 }
 
 /// Per-partitioner online decision state for vertex (edge-cut) streams.
@@ -944,16 +964,6 @@ mod tests {
         let one_shot = Ldg::default().partition_in_order(&snap, 4, &order, 1).unwrap();
         let materialized = inc.materialize(&snap).unwrap();
         assert_eq!(materialized.assignments(), one_shot.assignments());
-    }
-
-    #[test]
-    fn ldg_one_shot_unchanged_by_refactor() {
-        // partition_vertices == shuffle + partition_in_order, and the
-        // shared ldg_choose preserved the original selection rule.
-        let g = base();
-        let p = Ldg::default().partition_vertices(&g, 4, 1).unwrap();
-        let q = Ldg::default().partition_vertices(&g, 4, 1).unwrap();
-        assert_eq!(p, q);
     }
 
     #[test]
