@@ -416,35 +416,31 @@ fn mitigation(ctx: &Ctx, quick: bool) {
 /// suites) guarantees these rows sum exactly to the engines' reported
 /// phase totals, and tracing never perturbs the simulation itself.
 ///
-/// The traced runs execute as cells on the `gp-exec` pool; the runner's
-/// own sequential-vs-parallel speedup goes to **stdout only** (wall
-/// clock is nondeterministic — keeping it out of the CSVs keeps them
-/// byte-identical across `--threads`).
+/// The traced runs execute as cells on the `gp-exec` pool, so the CSVs
+/// are byte-identical across `--threads`; the pool's host time shows
+/// under `--prof` (`core.trace.*`, `exec.cell`), never in the CSVs.
 fn phases(ctx: &Ctx, quick: bool) {
     use gp_core::trace_run::{phase_table, trace_runs};
     let (k, epochs) = if quick { (4, 2) } else { (8, 4) };
     let graph = ctx.graph(DatasetId::OR);
     let model = PaperParams::middle().model(ModelKind::Sage);
     let parts = ctx.edge_partitions(DatasetId::OR, k);
-    let (sinks, timing) =
-        trace_runs(&DistGnn::new(&graph, model), &parts, epochs, None, false, ctx.threads)
-            .expect("healthy traced runs");
+    let sinks = trace_runs(&DistGnn::new(&graph, model), &parts, epochs, None, false, ctx.threads)
+        .expect("healthy traced runs");
     for (name, sink) in &sinks {
         let table_name = format!("ablation_phase_breakdown_distgnn_{}", slug(name));
         ctx.emit(&phase_table(&table_name, sink));
     }
-    report_runner(&timing, "distgnn");
 
     let split = ctx.split(DatasetId::OR);
     let vparts = ctx.vertex_partitions(DatasetId::OR, k);
-    let (sinks, timing) =
+    let sinks =
         trace_runs(&DistDgl::new(&graph, &split, model), &vparts, epochs, None, false, ctx.threads)
             .expect("healthy traced runs");
     for (name, sink) in &sinks {
         let table_name = format!("ablation_phase_breakdown_distdgl_{}", slug(name));
         ctx.emit(&phase_table(&table_name, sink));
     }
-    report_runner(&timing, "distdgl");
 }
 
 /// Metrics aggregation + automated run diagnosis: both engines, every
@@ -455,7 +451,8 @@ fn phases(ctx: &Ctx, quick: bool) {
 /// times). Every run cross-checks its aggregated per-worker phase
 /// totals against the engine report exactly (f64 `==`) — a mismatch
 /// aborts the ablation. All artifacts are deterministic: bit-identical
-/// across `--threads` choices and repeated runs.
+/// across `--threads` choices and repeated runs; host time shows under
+/// `--prof` (`core.diagnose.*`, `exec.cell`).
 fn diagnose(ctx: &Ctx, quick: bool) {
     use gp_cluster::MitigationPolicy;
     use gp_core::diagnose::{
@@ -466,21 +463,19 @@ fn diagnose(ctx: &Ctx, quick: bool) {
     let model = PaperParams::middle().model(ModelKind::Sage);
     let none = MitigationPolicy::none();
     let parts = ctx.edge_partitions(DatasetId::OR, k);
-    let (gnn_runs, timing) =
+    let gnn_runs =
         diagnose_runs(&DistGnn::new(&graph, model), &parts, epochs, None, none, ctx.threads)
             .expect("healthy diagnosed runs");
     ctx.emit(&skew_table("ablation_diagnose_skew_distgnn", &gnn_runs));
     ctx.emit(&summary_table("ablation_diagnose_summary_distgnn", &gnn_runs));
-    report_runner(&timing, "distgnn");
 
     let split = ctx.split(DatasetId::OR);
     let vparts = ctx.vertex_partitions(DatasetId::OR, k);
     let dgl = DistDgl::new(&graph, &split, model);
-    let (dgl_runs, timing) = diagnose_runs(&dgl, &vparts, epochs, None, none, ctx.threads)
+    let dgl_runs = diagnose_runs(&dgl, &vparts, epochs, None, none, ctx.threads)
         .expect("healthy diagnosed runs");
     ctx.emit(&skew_table("ablation_diagnose_skew_distdgl", &dgl_runs));
     ctx.emit(&summary_table("ablation_diagnose_summary_distdgl", &dgl_runs));
-    report_runner(&timing, "distdgl");
 
     write_artifact(ctx, "ablation_diagnose_distgnn.prom", &diagnose_prometheus(&gnn_runs));
     write_artifact(ctx, "ablation_diagnose_distdgl.prom", &diagnose_prometheus(&dgl_runs));
@@ -669,20 +664,6 @@ fn slug(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
         .collect()
-}
-
-/// Print the pool's wall-clock numbers to stdout (never into CSVs).
-fn report_runner(timing: &gp_exec::ExecTiming, label: &str) {
-    println!(
-        "runner[{label}]: {} cells on {} thread(s) in {:.3}s \
-         (sum of cells {:.3}s, speedup {:.2}x, {} steals)",
-        timing.cell_seconds.len(),
-        timing.threads,
-        timing.wall_seconds,
-        timing.serial_seconds(),
-        timing.speedup(),
-        timing.steals,
-    );
 }
 
 /// DistGNN cd-r: per-epoch sync cost vs the sync period (extension;

@@ -376,7 +376,7 @@ mod tests {
         // Absent flag keeps the engine level serial.
         let mut args: Vec<String> = ["--threads=4"].iter().map(|s| s.to_string()).collect();
         let par = take_parallelism_flags(&mut args).unwrap();
-        assert!(par.engine.is_serial());
+        assert_eq!(par.engine, Threads::serial());
         assert_eq!(par.sweep.count(), 4);
 
         let mut args: Vec<String> =

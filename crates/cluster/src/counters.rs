@@ -104,22 +104,6 @@ impl ClusterCounters {
         self.machines.iter().map(MachineCounters::network_bytes).sum()
     }
 
-    /// Total FLOPs across the cluster.
-    pub fn total_flops(&self) -> u64 {
-        self.machines.iter().map(|m| m.flops).sum()
-    }
-
-    /// Sum of per-machine peak memory (the cluster-wide footprint the
-    /// paper reports).
-    pub fn total_peak_memory(&self) -> u64 {
-        self.machines.iter().map(|m| m.peak_memory_bytes).sum()
-    }
-
-    /// Peak memory of the most loaded machine.
-    pub fn max_peak_memory(&self) -> u64 {
-        self.machines.iter().map(|m| m.peak_memory_bytes).max().unwrap_or(0)
-    }
-
     /// Memory-utilisation balance `max / mean` (1.0 = perfect); the
     /// paper's Figure 5 metric.
     pub fn memory_balance(&self) -> f64 {

@@ -5,9 +5,10 @@
 //! production shared cluster does not — workers leave (preemption,
 //! maintenance) and join (scale-up, rejoin after repair) continuously.
 //! [`ChurnPlan::generate`] turns a [`ChurnSpec`] into a deterministic
-//! schedule of [`ChurnEvent`]s the same way [`FaultPlan::generate`]
-//! materialises faults: one [`Rng`] stream per seed, fully
-//! reproducible, inspectable up front. [`Fleet`] tracks which of the
+//! schedule of [`ChurnEvent`]s the same way
+//! [`FaultPlan::generate`](crate::FaultPlan::generate) materialises
+//! faults: one [`Rng`] stream per seed, fully reproducible, inspectable
+//! up front. [`Fleet`] tracks which of the
 //! `k` fixed worker slots are live as those events (and unplanned
 //! crashes) are applied epoch by epoch.
 //!
@@ -19,7 +20,7 @@
 
 use gp_graph::rng::Rng;
 
-use crate::faults::{FaultPlan, RecoveryReport};
+use crate::faults::RecoveryReport;
 
 /// One membership change, applied at the *start* of `epoch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -322,13 +323,6 @@ impl ElasticOptions {
     pub fn no_handoff() -> Self {
         ElasticOptions { graceful_handoff: false, rebalance_on_join: false }
     }
-}
-
-/// Convenience: the plan's crash epochs as a membership view — which
-/// workers a [`FaultPlan`] removes before each epoch. Engines use this
-/// to keep fleet state and crash handling consistent.
-pub fn crashed_by_epoch(plan: &FaultPlan, epoch: u32) -> Vec<u32> {
-    plan.crashed_before(epoch)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use gp_cluster::{
     fold_exact, FaultPlan, MetricsRegistry, MetricsSnapshot, MitigationPolicy, RunReport, RunSpec,
     TracePhase, TraceSink,
 };
-use gp_exec::{ExecTiming, Parallelism, Threads};
+use gp_exec::{Parallelism, Threads};
 
 use crate::experiment::Timed;
 use crate::family::{try_cells, Epoch, Family};
@@ -213,7 +213,7 @@ pub fn diagnose_runs<F: Family>(
     plan: Option<&FaultPlan>,
     policy: MitigationPolicy,
     par: impl Into<Parallelism>,
-) -> Result<(Vec<RunDiagnosis>, ExecTiming), F::Error> {
+) -> Result<Vec<RunDiagnosis>, F::Error> {
     let _prof = gp_prof::scope_label(|| format!("core.diagnose.{}", F::NAME));
     let par = par.into();
     let spec = &diagnose_spec(epochs, plan, policy);
@@ -529,16 +529,14 @@ mod tests {
         let g = graph();
         let timed = timed_edge_partitions(&g, 4, 1, Threads::serial());
         let none = MitigationPolicy::none();
-        let (serial, timing) =
-            diagnose_runs(&gnn(&g), &timed, 2, None, none, Threads::serial()).unwrap();
-        assert_eq!(timing.threads, 1);
+        let serial = diagnose_runs(&gnn(&g), &timed, 2, None, none, Threads::serial()).unwrap();
         let report = diagnose_report("distgnn", &serial);
         let prom = diagnose_prometheus(&serial);
         let skew = skew_table("skew", &serial).to_csv();
         let summary = summary_table("summary", &serial).to_csv();
         let bench = bench_json(&serial);
         for threads in [2usize, 4] {
-            let (par, _) =
+            let par =
                 diagnose_runs(&gnn(&g), &timed, 2, None, none, Threads::new(threads)).unwrap();
             assert_eq!(diagnose_report("distgnn", &par), report, "threads = {threads}");
             assert_eq!(diagnose_prometheus(&par), prom, "threads = {threads}");
@@ -559,7 +557,7 @@ mod tests {
     fn merged_snapshot_is_grouping_invariant() {
         let g = graph();
         let timed = timed_edge_partitions(&g, 4, 1, Threads::serial());
-        let (runs, _) =
+        let runs =
             diagnose_runs(&gnn(&g), &timed, 2, None, MitigationPolicy::none(), Threads::serial())
                 .unwrap();
         let all = merged_snapshot(&runs);

@@ -18,7 +18,7 @@ use gp_cluster::{
 };
 use gp_distdgl::{DistDglConfig, DistDglEngine, DistDglError, EpochSummary};
 use gp_distgnn::{DistGnnConfig, DistGnnEngine, DistGnnError, EpochReport};
-use gp_exec::{par_map_indexed, ExecTiming, Parallelism, Threads};
+use gp_exec::{par_map, Parallelism, Threads};
 use gp_graph::{Graph, VertexSplit};
 use gp_partition::{EdgePartition, PartitionError, VertexPartition};
 use gp_tensor::ModelConfig;
@@ -385,22 +385,14 @@ fn unify<H, F, E>(
 }
 
 /// One fallible job per timed partition on the `gp-exec` pool: the
-/// values in `timed` order with the pool's timing, or the first error
-/// in index order.
+/// values in `timed` order, or the first error in index order.
 pub(crate) fn try_cells<P: Sync, T: Send, E: Send>(
     timed: &[Timed<P>],
     threads: Threads,
     job: impl Fn(&Timed<P>) -> Result<T, E> + Sync,
-) -> Result<(Vec<T>, ExecTiming), E> {
+) -> Result<Vec<T>, E> {
     let job = &job;
-    let report = par_map_indexed(threads, timed.iter().map(|t| move || job(t)).collect());
-    let timing = report.timing();
-    let values = report
-        .into_results()
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|p| panic!("{p}")))
-        .collect::<Result<_, _>>()?;
-    Ok((values, timing))
+    par_map(threads, timed.iter().map(|t| move || job(t)).collect()).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -659,8 +651,7 @@ mod tests {
         let timed: Vec<Timed<u32>> =
             (0..6).map(|i| Timed { name: format!("p{i}"), partition: i, seconds: 0.0 }).collect();
         for threads in [Threads::serial(), Threads::new(3)] {
-            let (values, _) =
-                try_cells(&timed, threads, |t| Ok::<_, String>(t.partition * 10)).unwrap();
+            let values = try_cells(&timed, threads, |t| Ok::<_, String>(t.partition * 10)).unwrap();
             assert_eq!(values, [0, 10, 20, 30, 40, 50]);
             let err = try_cells(&timed, threads, |t| {
                 if t.partition % 2 == 1 {

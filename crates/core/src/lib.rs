@@ -48,7 +48,7 @@
 //! * [`report`] — CSV and Markdown emitters for every figure and table.
 //!
 //! Every sweep, runner, advisor and timed-partition function runs its
-//! cells on the `gp-exec` work-stealing pool and takes
+//! cells on the `gp-exec` pool ([`gp_exec::par_map`]) and takes
 //! `par: impl Into<gp_exec::Parallelism>`: a bare `Threads` selects
 //! sweep-level fan-out only, while a full
 //! [`Parallelism`](gp_exec::Parallelism) additionally threads the
@@ -106,7 +106,5 @@ pub mod prelude {
     };
     pub use crate::sweep::{distdgl_grid, distgnn_grid, DistDglGridOutcome, DistGnnGridOutcome};
     pub use crate::trace_run::{phase_table, trace_run, trace_runs, trace_spec};
-    pub use gp_exec::{
-        par_map, par_map_indexed, CellPanic, ExecTiming, ParReport, Parallelism, Threads,
-    };
+    pub use gp_exec::{par_map, Parallelism, Threads};
 }

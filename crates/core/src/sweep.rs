@@ -1,7 +1,7 @@
 //! Hyper-parameter grid sweeps producing the paper's distributions.
 //!
-//! Both grids run one job per partitioner on the `gp-exec`
-//! work-stealing pool. Each job is a pure function of its inputs and
+//! Both grids run one job per partitioner on the `gp-exec` pool
+//! ([`gp_exec::par_map`]). Each job is a pure function of its inputs and
 //! writes into an index-addressed slot, so the outcome vector is
 //! **bit-identical for every `(sweep, engine)` width pair**
 //! (`Threads::serial()` is the conformance oracle). Each grid takes its

@@ -12,7 +12,7 @@
 //! test suites), so a traced run is also a faithful run.
 
 use gp_cluster::{FaultPlan, MitigationPolicy, RunSpec, TraceSink};
-use gp_exec::{ExecTiming, Parallelism, Threads};
+use gp_exec::{Parallelism, Threads};
 
 use crate::experiment::Timed;
 use crate::family::{try_cells, Family};
@@ -61,10 +61,8 @@ pub type NamedTraces = Vec<(String, TraceSink)>;
 /// Every partitioner gets its own [`TraceSink`] (sinks are `Send` since
 /// the buffer is `Arc<Mutex>`-shared), so cells never contend on one
 /// buffer and the recorded spans per partitioner are bit-identical for
-/// every thread count. Returns `(name, sink)` pairs in `timed` order
-/// together with the pool's [`ExecTiming`] — the `phases` ablation uses
-/// [`ExecTiming::speedup`] to print the runner's own
-/// sequential-vs-parallel speedup.
+/// every thread count. Returns `(name, sink)` pairs in `timed` order.
+/// Host time spent here shows under `--prof` as `core.trace.<engine>`.
 ///
 /// # Errors
 ///
@@ -76,7 +74,7 @@ pub fn trace_runs<F: Family>(
     plan: Option<&FaultPlan>,
     mitigate: bool,
     par: impl Into<Parallelism>,
-) -> Result<(NamedTraces, ExecTiming), F::Error> {
+) -> Result<NamedTraces, F::Error> {
     let _prof = gp_prof::scope_label(|| format!("core.trace.{}", F::NAME));
     let par = par.into();
     let spec = &trace_spec(epochs, plan, mitigate);
@@ -148,12 +146,9 @@ mod tests {
         let g = DatasetId::OR.generate(GraphScale::Tiny).unwrap();
         let timed = timed_edge_partitions(&g, 4, 1, Threads::serial());
         let gnn = DistGnn::new(&g, PaperParams::middle().model(ModelKind::Sage));
-        let (serial, serial_timing) =
-            trace_runs(&gnn, &timed, 2, None, false, Threads::serial()).unwrap();
-        assert_eq!(serial_timing.threads, 1);
-        assert_eq!(serial_timing.steals, 0);
+        let serial = trace_runs(&gnn, &timed, 2, None, false, Threads::serial()).unwrap();
         for threads in [2usize, 4] {
-            let (par, _) = trace_runs(&gnn, &timed, 2, None, false, Threads::new(threads)).unwrap();
+            let par = trace_runs(&gnn, &timed, 2, None, false, Threads::new(threads)).unwrap();
             assert_eq!(par.len(), serial.len());
             for ((pn, ps), (sn, ss)) in par.iter().zip(serial.iter()) {
                 assert_eq!(pn, sn, "partitioner order preserved");

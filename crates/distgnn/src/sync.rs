@@ -41,17 +41,6 @@ impl SyncTraffic {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_sent.iter().sum()
     }
-
-    /// The slowest machine's sent+received byte count — the straggler
-    /// that gates the synchronisation barrier.
-    pub fn straggler_bytes(&self) -> u64 {
-        self.bytes_sent
-            .iter()
-            .zip(self.bytes_received.iter())
-            .map(|(s, r)| s + r)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Compute the gather+scatter traffic of one layer with `state_dim`

@@ -1,57 +1,49 @@
-//! # gp-exec — deterministic parallel sweep executor
+//! # gp-exec — deterministic parallel map
 //!
 //! The experiment grids of this workspace (partitioner × k × model ×
 //! fanout, fault sweeps, mitigation sweeps, traced runs) are
 //! embarrassingly parallel: every cell is a pure function of its
-//! inputs. This crate runs such cells on a std-only work-stealing
-//! thread pool while keeping the output **bit-identical to the
-//! sequential path**, so the simulator's determinism guarantees survive
-//! parallel execution:
+//! inputs, and every call hands over a job set that is fixed before the
+//! first job starts. [`par_map`] runs such a set on scoped `std`
+//! threads while keeping the output **bit-identical to the sequential
+//! path**, so the simulator's determinism guarantees survive parallel
+//! execution:
 //!
-//! * **Index-addressed slots.** [`par_map_indexed`] takes `jobs` as a
-//!   vector of closures; job `i`'s result is written into slot `i` of
+//! * **Index-addressed slots.** Job `i`'s result lands in slot `i` of
 //!   the output vector regardless of which worker ran it or when it
 //!   finished. Aggregation downstream therefore always folds in index
 //!   order — the same order the serial loop used — and `f64` sums come
 //!   out `==`-equal, not merely approximately equal.
-//! * **Serial oracle.** With [`Threads::serial`] (one thread) the jobs
+//! * **Serial oracle.** With [`Threads::serial`] (one worker) the jobs
 //!   run in index order on the calling thread with no pool at all —
-//!   this is the old sequential path, kept as the reference the
-//!   conformance suite compares every thread count against.
-//! * **Work stealing.** Jobs are dealt round-robin onto per-worker
-//!   deques. An owner pops from the back of its own deque (LIFO, cache
-//!   warm); an idle worker steals from the front of a victim's deque
-//!   (FIFO, chase-steal style), so ragged cell costs balance without a
-//!   central queue. Steals are counted ([`ParReport::steals`]).
-//! * **Panic isolation.** A panicking cell poisons only its own slot
-//!   ([`CellPanic`] with the captured message); every other cell still
-//!   completes and the caller decides whether to propagate.
-//! * **Per-cell timing.** [`ParReport::cell_seconds`] holds each cell's
-//!   wall time and [`ParReport::wall_seconds`] the whole map's, so
-//!   front ends can report the sweep runner's own sequential-vs-parallel
-//!   speedup ([`ParReport::speedup`]).
+//!   the reference the conformance suite compares every width against.
+//! * **One shared queue.** Workers take `(index, job)` pairs in index
+//!   order from one mutex over the job set. The set never grows, so an
+//!   idle worker simply takes the next job; ragged cell costs balance
+//!   without per-worker deques.
+//! * **Deferred panics.** A panicking job does not stop the others.
+//!   When every job has run, the first panic in index order is
+//!   re-raised as `cell <i> panicked: <message>`.
 //!
-//! No external dependencies: scoped threads, `Mutex<VecDeque>` deques
-//! and atomics from `std` only.
+//! Host time is not measured here: each job runs under the `exec.cell`
+//! scope of `gp-prof`, so `--prof` reports the pool's cells alongside
+//! every other stage.
 //!
 //! ```
-//! use gp_exec::{par_map_indexed, Threads};
+//! use gp_exec::{par_map, Threads};
 //!
 //! let jobs: Vec<_> = (0..32u64).map(|i| move || i * i).collect();
-//! let par = par_map_indexed(Threads::new(4), jobs);
+//! let par = par_map(Threads::new(4), jobs);
 //! let jobs: Vec<_> = (0..32u64).map(|i| move || i * i).collect();
-//! let serial = par_map_indexed(Threads::serial(), jobs);
-//! assert_eq!(par.into_values(), serial.into_values());
+//! let serial = par_map(Threads::serial(), jobs);
+//! assert_eq!(par, serial);
 //! ```
 
-use gp_prof::now;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Worker-count policy for [`par_map_indexed`].
+/// Worker-count policy for [`par_map`].
 ///
 /// `Threads::auto()` (the `Default`) resolves to the machine's available
 /// parallelism at call time; `Threads::serial()` is the sequential
@@ -67,7 +59,7 @@ impl Threads {
     }
 
     /// One worker: run jobs in index order on the calling thread. This
-    /// is the old serial path and the conformance oracle.
+    /// is the serial path and the conformance oracle.
     pub const fn serial() -> Self {
         Threads(1)
     }
@@ -94,11 +86,6 @@ impl Threads {
             self.0
         }
     }
-
-    /// Whether this policy resolves to the serial reference path.
-    pub fn is_serial(self) -> bool {
-        self.count() == 1
-    }
 }
 
 impl Default for Threads {
@@ -107,16 +94,25 @@ impl Default for Threads {
     }
 }
 
+impl fmt::Display for Threads {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0 == 0 {
+            write!(f, "auto({})", self.count())
+        } else {
+            write!(f, "{}", self.0)
+        }
+    }
+}
+
 /// A two-level width policy: how many workers the *sweep* pool fans
 /// cells onto, and how many workers each engine uses *inside* an epoch
-/// (intra-epoch `par_map_indexed` over per-worker compute, blocked
-/// kernels, per-worker sampling).
+/// (intra-epoch [`par_map`] over per-worker compute, blocked kernels,
+/// per-worker sampling).
 ///
-/// Every front end that used to take a bare [`Threads`] now accepts
-/// `impl Into<Parallelism>`; a bare `Threads` converts with a serial
-/// engine level, so existing call sites keep their exact behaviour.
-/// Both levels are index-addressed, so any `(sweep, engine)` pair is
-/// bit-identical to `(serial, serial)`.
+/// Front ends accept `impl Into<Parallelism>`; a bare [`Threads`]
+/// converts with a serial engine level. Both levels are
+/// index-addressed, so any `(sweep, engine)` pair is bit-identical to
+/// `(serial, serial)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
     /// Pool width for sweep-level cells (one job per grid cell).
@@ -135,11 +131,6 @@ impl Parallelism {
     pub const fn new(sweep: Threads, engine: Threads) -> Self {
         Parallelism { sweep, engine }
     }
-
-    /// The same width at both levels.
-    pub const fn uniform(threads: Threads) -> Self {
-        Parallelism { sweep: threads, engine: threads }
-    }
 }
 
 impl Default for Parallelism {
@@ -149,320 +140,108 @@ impl Default for Parallelism {
 }
 
 impl From<Threads> for Parallelism {
-    /// A bare sweep width with a serial engine level — exactly what
-    /// every pre-existing `threads: Threads` call site meant.
+    /// A bare sweep width with a serial engine level.
     fn from(sweep: Threads) -> Self {
         Parallelism { sweep, engine: Threads::serial() }
     }
 }
 
-impl fmt::Display for Threads {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 == 0 {
-            write!(f, "auto({})", self.count())
-        } else {
-            write!(f, "{}", self.0)
-        }
-    }
-}
+/// One job's value, or its stringified panic message (`&str` / `String`
+/// payloads verbatim; anything else becomes a placeholder).
+type Outcome<T> = Result<T, String>;
 
-/// A cell that panicked: its job index and the captured panic message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellPanic {
-    /// Index of the poisoned slot.
-    pub index: usize,
-    /// The panic payload, stringified (`&str` / `String` payloads are
-    /// preserved verbatim; anything else becomes a placeholder).
-    pub message: String,
-}
-
-impl fmt::Display for CellPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cell {} panicked: {}", self.index, self.message)
-    }
-}
-
-/// The outcome of one [`par_map_indexed`] call: index-addressed results
-/// plus the pool's own accounting.
-#[derive(Debug)]
-pub struct ParReport<T> {
-    /// Slot `i` holds job `i`'s value, or the panic that poisoned it.
-    results: Vec<Result<T, CellPanic>>,
-    /// Wall time of each cell, index-addressed (seconds).
-    pub cell_seconds: Vec<f64>,
-    /// Wall time of the whole map call (seconds).
-    pub wall_seconds: f64,
-    /// Number of jobs a worker took from another worker's deque.
-    pub steals: u64,
-    /// Resolved worker count actually used.
-    pub threads: usize,
-}
-
-/// The pool-accounting part of a [`ParReport`], detached from the
-/// results so callers can hand the results on and still report timing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecTiming {
-    /// Wall time of each cell, index-addressed (seconds).
-    pub cell_seconds: Vec<f64>,
-    /// Wall time of the whole map call (seconds).
-    pub wall_seconds: f64,
-    /// Number of jobs a worker took from another worker's deque.
-    pub steals: u64,
-    /// Resolved worker count actually used.
-    pub threads: usize,
-}
-
-impl ExecTiming {
-    /// Sum of per-cell wall times in index order — an estimate of what
-    /// the serial path would have taken.
-    pub fn serial_seconds(&self) -> f64 {
-        self.cell_seconds.iter().sum()
-    }
-
-    /// `serial_seconds / wall_seconds` (1.0 for a zero-length wall).
-    pub fn speedup(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            return 1.0;
-        }
-        self.serial_seconds() / self.wall_seconds
-    }
-
-    /// Median per-cell wall time (0.0 when the map ran zero jobs).
-    /// Computed on demand — no new serialized fields, so existing
-    /// consumers of the struct see an unchanged shape.
-    pub fn cell_p50(&self) -> f64 {
-        if self.cell_seconds.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.cell_seconds.clone();
-        sorted.sort_by(f64::total_cmp);
-        let mid = sorted.len() / 2;
-        if sorted.len() % 2 == 1 {
-            sorted[mid]
-        } else {
-            (sorted[mid - 1] + sorted[mid]) / 2.0
-        }
-    }
-
-    /// Slowest cell's wall time (0.0 when the map ran zero jobs).
-    pub fn cell_max(&self) -> f64 {
-        self.cell_seconds.iter().copied().fold(0.0, f64::max)
-    }
-}
-
-impl<T> ParReport<T> {
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Snapshot of the pool accounting, detached from the results.
-    pub fn timing(&self) -> ExecTiming {
-        ExecTiming {
-            cell_seconds: self.cell_seconds.clone(),
-            wall_seconds: self.wall_seconds,
-            steals: self.steals,
-            threads: self.threads,
-        }
-    }
-
-    /// Whether the map ran zero jobs.
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
-
-    /// The poisoned slots, in index order.
-    pub fn panics(&self) -> Vec<&CellPanic> {
-        self.results.iter().filter_map(|r| r.as_ref().err()).collect()
-    }
-
-    /// The index-addressed slot vector.
-    pub fn into_results(self) -> Vec<Result<T, CellPanic>> {
-        self.results
-    }
-
-    /// All values in index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the first poisoned cell's message if any cell
-    /// panicked — the parallel analogue of the serial loop's abort,
-    /// deferred until every healthy cell has completed.
-    pub fn into_values(self) -> Vec<T> {
-        self.results
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(p) => panic!("{p}"),
-            })
-            .collect()
-    }
-
-    /// Sum of per-cell wall times in index order — an estimate of what
-    /// the serial path would have taken.
-    pub fn serial_seconds(&self) -> f64 {
-        self.cell_seconds.iter().sum()
-    }
-
-    /// `serial_seconds / wall_seconds`: the sweep runner's own
-    /// wall-clock speedup (1.0 for the serial path, modulo noise).
-    pub fn speedup(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            return 1.0;
-        }
-        self.serial_seconds() / self.wall_seconds
-    }
-}
-
-/// Message stringification for a caught panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// What one worker ran: each job's index, outcome and host seconds.
-type WorkerCells<T> = Vec<(usize, Result<T, CellPanic>, f64)>;
-
-/// Run one job under panic isolation, timing it.
-fn run_cell<T, F: FnOnce() -> T>(index: usize, job: F) -> (Result<T, CellPanic>, f64) {
+/// Run one job under the `exec.cell` scope, catching its panic.
+fn run_cell<T, F: FnOnce() -> T>(job: F) -> Outcome<T> {
     let _prof = gp_prof::scope("exec.cell");
-    let start = now();
-    let result = catch_unwind(AssertUnwindSafe(job))
-        .map_err(|payload| CellPanic { index, message: panic_message(payload) });
-    (result, start.elapsed_secs())
+    catch_unwind(AssertUnwindSafe(job)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
 }
 
-/// Map `jobs` to an index-addressed result vector on a work-stealing
-/// pool of `threads` workers.
+/// Map `jobs` to their values in index order on `threads` workers.
 ///
-/// Job `i`'s result lands in slot `i` no matter which worker ran it, so
-/// for pure jobs the output is **bit-identical for every thread count**
-/// — including `Threads::serial()`, which runs the jobs in index order
-/// on the calling thread (the reference oracle). A panicking job
-/// poisons only its own slot; see [`ParReport::into_values`] for the
-/// propagating accessor.
-pub fn par_map_indexed<T, F>(threads: Threads, jobs: Vec<F>) -> ParReport<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let wall = now();
-    let n_jobs = jobs.len();
-    let workers = threads.count().min(n_jobs).max(1);
-
-    if workers <= 1 {
-        // Serial reference path: index order, no pool.
-        let mut results = Vec::with_capacity(n_jobs);
-        let mut cell_seconds = Vec::with_capacity(n_jobs);
-        for (i, job) in jobs.into_iter().enumerate() {
-            let (r, secs) = run_cell(i, job);
-            results.push(r);
-            cell_seconds.push(secs);
-        }
-        return ParReport {
-            results,
-            cell_seconds,
-            wall_seconds: wall.elapsed_secs(),
-            steals: 0,
-            threads: 1,
-        };
-    }
-
-    // Deal jobs round-robin onto per-worker deques.
-    let mut deques: Vec<Mutex<VecDeque<(usize, F)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deques[i % workers].get_mut().expect("fresh mutex").push_back((i, job));
-    }
-    let deques = &deques;
-    let steals = AtomicU64::new(0);
-    let steals_ref = &steals;
-
-    let mut per_worker: Vec<WorkerCells<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        // Own deque first: pop the back (LIFO).
-                        let own = deques[me].lock().expect("deque lock").pop_back();
-                        let job = match own {
-                            Some(j) => Some(j),
-                            None => {
-                                // Steal from a victim's front (FIFO).
-                                let mut stolen = None;
-                                for v in (me + 1..workers).chain(0..me) {
-                                    if let Some(j) =
-                                        deques[v].lock().expect("deque lock").pop_front()
-                                    {
-                                        steals_ref.fetch_add(1, Ordering::Relaxed);
-                                        stolen = Some(j);
-                                        break;
-                                    }
-                                }
-                                stolen
-                            }
-                        };
-                        // No job anywhere: the set is fixed up
-                        // front (cells never spawn cells), so all
-                        // deques empty means the sweep is drained.
-                        let Some((index, job)) = job else { break };
-                        let (r, secs) = run_cell(index, job);
-                        done.push((index, r, secs));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker never panics")).collect()
-    });
-
-    // Write results into the index-addressed slot vector. Every index
-    // appears exactly once across workers.
-    let mut results: Vec<Option<Result<T, CellPanic>>> = (0..n_jobs).map(|_| None).collect();
-    let mut cell_seconds = vec![0.0; n_jobs];
-    for worker_done in per_worker.iter_mut() {
-        for (index, r, secs) in worker_done.drain(..) {
-            cell_seconds[index] = secs;
-            let slot = &mut results[index];
-            debug_assert!(slot.is_none(), "slot {index} filled twice");
-            *slot = Some(r);
-        }
-    }
-    ParReport {
-        results: results.into_iter().map(|s| s.expect("every job ran exactly once")).collect(),
-        cell_seconds,
-        wall_seconds: wall.elapsed_secs(),
-        steals: steals.load(Ordering::Relaxed),
-        threads: workers,
-    }
-}
-
-/// [`par_map_indexed`] for the common case: values in index order,
-/// propagating the first cell panic (after all healthy cells finished).
+/// Job `i`'s value lands in slot `i` no matter which worker ran it, so
+/// for pure jobs the output is **bit-identical for every width** —
+/// including `Threads::serial()` (or a single job), which runs the jobs
+/// in index order on the calling thread.
+///
+/// # Panics
+///
+/// If any job panicked: once every job has run, re-raises the first
+/// panic in index order as `cell <i> panicked: <message>`.
 pub fn par_map<T, F>(threads: Threads, jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    par_map_indexed(threads, jobs).into_values()
+    let n_jobs = jobs.len();
+    let workers = threads.count().min(n_jobs);
+    if workers <= 1 {
+        // Fold values as the jobs run, so the engines' many small
+        // serial calls allocate only the value vector.
+        return in_index_order(jobs.into_iter().map(run_cell), n_jobs);
+    }
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let queue = &queue;
+    let ran: Vec<Vec<(usize, Outcome<T>)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut ran = Vec::new();
+                    loop {
+                        // Bind first so the lock is released before the
+                        // job runs.
+                        let next = queue.lock().expect("queue lock").next();
+                        let Some((index, job)) = next else { break };
+                        ran.push((index, run_cell(job)));
+                    }
+                    ran
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("worker never panics")).collect()
+    });
+    let mut slots: Vec<Option<Outcome<T>>> = (0..n_jobs).map(|_| None).collect();
+    for (index, outcome) in ran.into_iter().flatten() {
+        slots[index] = Some(outcome);
+    }
+    in_index_order(slots.into_iter().map(|s| s.expect("every job ran exactly once")), n_jobs)
+}
+
+/// The values of `n` outcomes given in index order, or, if any job
+/// panicked, the first panic in index order re-raised.
+fn in_index_order<T>(outcomes: impl Iterator<Item = Outcome<T>>, n: usize) -> Vec<T> {
+    let mut values = Vec::with_capacity(n);
+    let mut first_panic = None;
+    for (index, outcome) in outcomes.enumerate() {
+        match outcome {
+            Ok(value) => values.push(value),
+            Err(message) => {
+                first_panic.get_or_insert((index, message));
+            }
+        }
+    }
+    if let Some((index, message)) = first_panic {
+        panic!("cell {index} panicked: {message}");
+    }
+    values
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     #[test]
     fn threads_resolution() {
         assert_eq!(Threads::serial().count(), 1);
-        assert!(Threads::serial().is_serial());
         assert_eq!(Threads::new(6).count(), 6);
         assert!(Threads::auto().count() >= 1);
         assert_eq!(Threads::new(0), Threads::auto());
@@ -481,23 +260,105 @@ mod tests {
     }
 
     #[test]
-    fn zero_jobs_is_empty_report() {
-        let report = par_map_indexed(Threads::new(4), Vec::<fn() -> u32>::new());
-        assert!(report.is_empty());
-        assert_eq!(report.len(), 0);
-        assert_eq!(report.steals, 0);
-        assert_eq!(report.threads, 1, "no pool spun up for zero jobs");
-        assert!(report.panics().is_empty());
-        assert!(report.into_values().is_empty());
+    fn zero_jobs_give_an_empty_vec() {
+        assert!(par_map(Threads::new(4), Vec::<fn() -> u32>::new()).is_empty());
     }
 
     #[test]
     fn single_job_runs_on_caller() {
-        let report = par_map_indexed(Threads::new(8), vec![|| 41 + 1]);
-        assert_eq!(report.threads, 1, "one job never needs a pool");
-        assert_eq!(report.steals, 0);
-        assert_eq!(report.cell_seconds.len(), 1);
-        assert_eq!(report.into_values(), vec![42]);
+        let caller = std::thread::current().id();
+        let ran_on = par_map(Threads::new(8), vec![|| std::thread::current().id()]);
+        assert_eq!(ran_on, vec![caller], "one job never needs a pool");
+    }
+
+    #[test]
+    fn parallelism_defaults_and_conversion() {
+        assert_eq!(Parallelism::default(), Parallelism::serial());
+        assert_eq!(Parallelism::serial(), Parallelism::new(Threads::serial(), Threads::serial()));
+        let par = Parallelism::from(Threads::new(4));
+        assert_eq!(par.sweep, Threads::new(4));
+        assert_eq!(par.engine, Threads::serial(), "a bare width keeps the engine serial");
+    }
+
+    #[test]
+    fn serial_path_runs_every_job_on_the_caller_in_index_order() {
+        let caller = std::thread::current().id();
+        let next = AtomicUsize::new(0);
+        let jobs: Vec<_> = (0..20)
+            .map(|_| {
+                let next = &next;
+                move || (next.fetch_add(1, Ordering::Relaxed), std::thread::current().id())
+            })
+            .collect();
+        let ran = par_map(Threads::serial(), jobs);
+        for (i, (order, thread)) in ran.into_iter().enumerate() {
+            assert_eq!(order, i, "job {i} ran out of index order");
+            assert_eq!(thread, caller, "job {i} left the calling thread");
+        }
+    }
+
+    #[test]
+    fn workers_run_concurrently_off_the_caller() {
+        // Each job waits (with a deadline, so a broken pool fails rather
+        // than hangs) until all four have started: only four concurrent
+        // workers let every job see the full count.
+        let caller = std::thread::current().id();
+        let started = AtomicUsize::new(0);
+        let jobs: Vec<_> = (0..4)
+            .map(|_| {
+                let started = &started;
+                move || {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                    while started.load(Ordering::SeqCst) < 4 && std::time::Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
+                    (started.load(Ordering::SeqCst), std::thread::current().id())
+                }
+            })
+            .collect();
+        for (i, (seen, thread)) in par_map(Threads::new(4), jobs).into_iter().enumerate() {
+            assert_eq!(seen, 4, "job {i} never saw its peers start");
+            assert_ne!(thread, caller, "job {i} ran on the calling thread");
+        }
+    }
+
+    #[test]
+    fn the_pool_never_spawns_more_workers_than_jobs() {
+        let jobs: Vec<_> = (0..3).map(|_| || std::thread::current().id()).collect();
+        let mut threads = par_map(Threads::new(16), jobs);
+        threads.sort_by_key(|id| format!("{id:?}"));
+        threads.dedup();
+        assert!(threads.len() <= 3, "{} workers for 3 jobs", threads.len());
+    }
+
+    #[test]
+    fn panic_payloads_of_every_kind_are_reported() {
+        let message = |job: Box<dyn FnOnce() + Send>, threads: Threads| -> String {
+            let healthy: Box<dyn FnOnce() + Send> = Box::new(|| ());
+            let err = catch_unwind(AssertUnwindSafe(|| par_map(threads, vec![healthy, job])))
+                .expect_err("job 1 panics");
+            err.downcast_ref::<String>().expect("formatted message").clone()
+        };
+        for threads in [Threads::serial(), Threads::new(2)] {
+            assert_eq!(
+                message(Box::new(|| panic!("static text")), threads),
+                "cell 1 panicked: static text",
+                "&str payload, threads = {threads}"
+            );
+            let n = 7;
+            assert_eq!(
+                message(Box::new(move || panic!("formatted {n}")), threads),
+                "cell 1 panicked: formatted 7",
+                "String payload, threads = {threads}"
+            );
+            assert_eq!(
+                message(Box::new(|| std::panic::panic_any(42u32)), threads),
+                "cell 1 panicked: non-string panic payload",
+                "other payload, threads = {threads}"
+            );
+        }
     }
 
     #[test]
@@ -514,10 +375,8 @@ mod tests {
     fn stress_many_tiny_jobs() {
         let n = 5_000u64;
         let jobs: Vec<_> = (0..n).map(|i| move || i.wrapping_mul(0x9e3779b9)).collect();
-        let report = par_map_indexed(Threads::new(8), jobs);
-        assert_eq!(report.len(), n as usize);
-        assert_eq!(report.cell_seconds.len(), n as usize);
-        let values = report.into_values();
+        let values = par_map(Threads::new(8), jobs);
+        assert_eq!(values.len(), n as usize);
         for (i, v) in values.iter().enumerate() {
             assert_eq!(*v, (i as u64).wrapping_mul(0x9e3779b9));
         }
@@ -539,86 +398,31 @@ mod tests {
                 job
             })
             .collect();
-        let report = par_map_indexed(Threads::new(4), jobs);
         let expect: Vec<usize> = (0..40).map(|i| i * i).collect();
-        assert_eq!(report.into_values(), expect);
-    }
-
-    #[test]
-    fn steals_happen_and_are_counted() {
-        // Worker 1 owns the odd indices (round-robin deal) and pops its
-        // own deque from the back, so job 15 — which blocks for a long
-        // while — is the first thing it runs. Worker 0 drains its own
-        // eight quick jobs and must then steal worker 1's remaining
-        // seven from the front of its deque.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
-            .map(|i| {
-                let job: Box<dyn FnOnce() -> usize + Send> = Box::new(move || {
-                    if i == 15 {
-                        std::thread::sleep(Duration::from_millis(40));
-                    } else {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    i
-                });
-                job
-            })
-            .collect();
-        let report = par_map_indexed(Threads::new(2), jobs);
-        assert!(report.steals > 0, "expected steals, got {}", report.steals);
-        assert_eq!(report.threads, 2);
-        assert_eq!(report.into_values(), (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serial_path_reports_no_steals() {
-        let jobs: Vec<_> = (0..8u32).map(|i| move || i).collect();
-        let report = par_map_indexed(Threads::serial(), jobs);
-        assert_eq!(report.steals, 0);
-        assert_eq!(report.threads, 1);
+        assert_eq!(par_map(Threads::new(4), jobs), expect);
     }
 
     #[test]
     fn panic_poisons_only_its_slot() {
         for threads in [1usize, 4] {
-            let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = (0..10u32)
+            let healthy = AtomicUsize::new(0);
+            let jobs: Vec<_> = (0..10u32)
                 .map(|i| {
-                    let job: Box<dyn FnOnce() -> u32 + Send> = Box::new(move || {
+                    let healthy = &healthy;
+                    move || {
                         assert!(i != 3, "cell three is cursed");
+                        healthy.fetch_add(1, Ordering::Relaxed);
                         i * 10
-                    });
-                    job
+                    }
                 })
                 .collect();
-            let report = par_map_indexed(Threads::new(threads), jobs);
-            let panics = report.panics();
-            assert_eq!(panics.len(), 1, "threads = {threads}");
-            assert_eq!(panics[0].index, 3);
-            assert!(panics[0].message.contains("cursed"), "message: {}", panics[0].message);
-            let results = report.into_results();
-            for (i, r) in results.iter().enumerate() {
-                if i == 3 {
-                    assert!(r.is_err());
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i as u32 * 10, "healthy cells complete");
-                }
-            }
+            let err = catch_unwind(AssertUnwindSafe(|| par_map(Threads::new(threads), jobs)))
+                .expect_err("cell 3 panics");
+            let message = err.downcast_ref::<String>().expect("formatted message");
+            assert!(message.starts_with("cell 3 panicked: "), "threads = {threads}: {message}");
+            assert!(message.contains("cursed"), "threads = {threads}: {message}");
+            assert_eq!(healthy.load(Ordering::Relaxed), 9, "healthy cells complete");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cell 3 panicked")]
-    fn into_values_propagates_the_poisoned_cell() {
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = (0..5u32)
-            .map(|i| {
-                let job: Box<dyn FnOnce() -> u32 + Send> = Box::new(move || {
-                    assert!(i != 3, "boom");
-                    i
-                });
-                job
-            })
-            .collect();
-        let _ = par_map_indexed(Threads::new(2), jobs).into_values();
     }
 
     #[test]
@@ -636,24 +440,6 @@ mod tests {
         let values = par_map(Threads::new(7), jobs);
         assert_eq!(counter.load(Ordering::Relaxed), 500);
         assert_eq!(values, (0..500).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn timing_and_speedup_accounting() {
-        let jobs: Vec<_> = (0..8)
-            .map(|i| {
-                move || {
-                    std::thread::sleep(Duration::from_millis(5));
-                    i
-                }
-            })
-            .collect();
-        let report = par_map_indexed(Threads::new(4), jobs);
-        assert_eq!(report.cell_seconds.len(), 8);
-        assert!(report.cell_seconds.iter().all(|&s| s >= 0.004), "cells were timed");
-        assert!(report.serial_seconds() >= 0.03);
-        assert!(report.wall_seconds > 0.0);
-        assert!(report.speedup() > 1.0, "4 workers on 8 sleeping cells overlap");
     }
 
     #[test]
@@ -701,51 +487,14 @@ mod tests {
     }
 
     #[test]
-    fn cell_quantiles_p50_and_max() {
-        let t = ExecTiming {
-            cell_seconds: vec![0.4, 0.1, 0.3, 0.2],
-            wall_seconds: 0.5,
-            steals: 0,
-            threads: 2,
-        };
-        assert_eq!(t.cell_p50(), 0.25, "even length: mean of the middle pair");
-        assert_eq!(t.cell_max(), 0.4);
-        let odd = ExecTiming { cell_seconds: vec![0.3, 0.1, 0.2], ..t.clone() };
-        assert_eq!(odd.cell_p50(), 0.2);
-        let empty = ExecTiming { cell_seconds: vec![], ..t };
-        assert_eq!(empty.cell_p50(), 0.0);
-        assert_eq!(empty.cell_max(), 0.0);
-    }
-
-    #[test]
-    fn exec_timing_serialized_shape_is_unchanged() {
-        // Regression pin for satellite consumers that render the
-        // timing struct: p50/max are computed methods, not fields, so
-        // the Debug serialization must keep its pre-prof shape.
-        let t =
-            ExecTiming { cell_seconds: vec![1.0, 3.0], wall_seconds: 2.0, steals: 1, threads: 2 };
-        assert_eq!(
-            format!("{t:?}"),
-            "ExecTiming { cell_seconds: [1.0, 3.0], wall_seconds: 2.0, steals: 1, threads: 2 }"
-        );
-        let jobs: Vec<_> = (0..3u64).map(|i| move || i).collect();
-        let report = par_map_indexed(Threads::serial(), jobs);
-        let rendered = format!("{report:?}");
-        for field in ["results", "cell_seconds", "wall_seconds", "steals", "threads"] {
-            assert!(rendered.contains(field), "ParReport keeps field {field}: {rendered}");
-        }
-        assert!(!rendered.contains("p50"), "no new serialized fields: {rendered}");
-    }
-
-    #[test]
-    fn pool_timing_comes_from_the_prof_clock_and_emits_cell_scopes() {
+    fn every_cell_runs_under_an_exec_cell_scope() {
         gp_prof::set_enabled(true);
         gp_prof::reset();
         let jobs: Vec<_> = (0..4u64).map(|i| move || i * 3).collect();
-        let report = par_map_indexed(Threads::serial(), jobs);
+        let values = par_map(Threads::serial(), jobs);
         let profile = gp_prof::take_profile();
         gp_prof::set_enabled(false);
-        assert_eq!(report.into_values(), vec![0, 3, 6, 9]);
+        assert_eq!(values, vec![0, 3, 6, 9]);
         // Other tests in this binary may run pool cells concurrently
         // while profiling is enabled, so assert at-least rather than
         // exactly-our-four.

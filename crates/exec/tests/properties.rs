@@ -1,12 +1,13 @@
-//! Properties of the work-stealing executor over seeded random job
-//! mixes.
+//! Properties of the parallel map over seeded random job mixes.
 //!
 //! Each property runs one case per seed of a fixed list: the case's
 //! inputs are drawn from `Rng::seed_from_u64(seed)`, and every assertion
 //! names the seed, so a failure reproduces from its message alone.
 
-use gp_exec::{par_map_indexed, Threads};
+use gp_exec::{par_map, Threads};
 use gp_graph::rng::Rng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Cases per property; each case sleeps through its jobs.
@@ -34,7 +35,7 @@ fn run_map(durations: &[u64], threads: Threads) -> Vec<u64> {
             }
         })
         .collect();
-    par_map_indexed(threads, jobs).into_values()
+    par_map(threads, jobs)
 }
 
 /// Random job-duration vectors: the parallel result vector equals
@@ -64,5 +65,49 @@ fn repeated_runs_are_stable() {
         let first = run_map(&durations, Threads::new(threads));
         let second = run_map(&durations, Threads::new(threads));
         assert_eq!(first, second, "seed {seed}: {threads} threads");
+    }
+}
+
+/// A random job mix with a random non-empty set of panicking indices:
+/// at every width in 1..=16 the re-raised message names the lowest
+/// panicking index, and every healthy job ran exactly once.
+#[test]
+fn first_panic_in_index_order_wins_at_every_width() {
+    for seed in 0..8 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let len = rng.random_range(1..40);
+        let durations = durations(&mut rng, len, 100);
+        let mut cursed: Vec<bool> = (0..len).map(|_| rng.below(4) == 0).collect();
+        cursed[rng.random_range(0..len)] = true;
+        let first = cursed.iter().position(|&c| c).expect("non-empty");
+        for width in 1..=16 {
+            let runs: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+            let jobs: Vec<_> = (0..len)
+                .map(|i| {
+                    let (runs, d, cursed) = (&runs, durations[i], cursed[i]);
+                    move || {
+                        std::thread::sleep(Duration::from_micros(d));
+                        assert!(!cursed, "job {i} is cursed");
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+                .collect();
+            let err = catch_unwind(AssertUnwindSafe(|| par_map(Threads::new(width), jobs)))
+                .expect_err("some job panics");
+            let message = err.downcast_ref::<String>().expect("formatted message");
+            assert_eq!(
+                *message,
+                format!("cell {first} panicked: job {first} is cursed"),
+                "seed {seed}: width {width}"
+            );
+            for (i, ran) in runs.iter().enumerate() {
+                let expect = usize::from(!cursed[i]);
+                assert_eq!(
+                    ran.load(Ordering::Relaxed),
+                    expect,
+                    "seed {seed}: width {width}, job {i}"
+                );
+            }
+        }
     }
 }

@@ -12,8 +12,8 @@
 //! Three pieces:
 //!
 //! * **Clock** — [`now`] / [`HostInstant`]: the one wall-clock used by
-//!   everything host-timed in the workspace (`gp-exec`'s `ExecTiming`
-//!   sources its wall seconds from here).
+//!   everything host-timed in the workspace (the scoped timers below,
+//!   which also time every `gp-exec` pool cell as `exec.cell`).
 //! * **Scoped timers** — [`scope`] / [`scope_label`] return RAII
 //!   guards. Each thread keeps a scope stack; on guard drop the
 //!   elapsed time is merged under the full path into a process-global
@@ -49,8 +49,8 @@ use std::time::Instant;
 /// An opaque host-clock timestamp (wraps [`std::time::Instant`]).
 ///
 /// The single wall-clock for host timing across the workspace: scoped
-/// timers, `gp-exec` cell/wall seconds and the perf harness all read
-/// it, so their numbers are directly comparable.
+/// timers (pool cells included) and the perf harness both read it, so
+/// their numbers are directly comparable.
 #[derive(Clone, Copy, Debug)]
 pub struct HostInstant(Instant);
 

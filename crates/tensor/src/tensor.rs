@@ -2,10 +2,10 @@
 
 use std::fmt;
 
-use gp_exec::{par_map_indexed, Threads};
+use gp_exec::{par_map, Threads};
 
 /// Rows per parallel panel of the blocked matmul kernels. Each panel is
-/// an index-addressed `par_map_indexed` job, so the split never changes
+/// an index-addressed `par_map` job, so the split never changes
 /// results — only how they are scheduled.
 const ROW_PANEL: usize = 64;
 
@@ -310,7 +310,7 @@ where
             }
         })
         .collect();
-    let bufs = par_map_indexed(threads, jobs).into_values();
+    let bufs = par_map(threads, jobs);
     for (&(i0, i1), buf) in panels.iter().zip(bufs.iter()) {
         out[i0 * cols..i1 * cols].copy_from_slice(buf);
     }

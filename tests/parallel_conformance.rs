@@ -5,9 +5,9 @@
 //! re-runs one parallel width to catch run-to-run nondeterminism
 //! (racy accumulation, HashMap iteration, ...).
 //!
-//! Wall-clock fields (`Timed::seconds`, pool timing) are
-//! the one sanctioned exception: they measure the host machine, not the
-//! simulation, and are excluded from every comparison here.
+//! Wall-clock fields (`Timed::seconds`) are the one sanctioned
+//! exception: they measure the host machine, not the simulation, and
+//! are excluded from every comparison here.
 
 use gnnpart::cluster::MitigationPolicy;
 use gnnpart::core::chaos::chaos_churn_spec;
@@ -264,11 +264,10 @@ fn trace_runs_are_bit_identical_across_thread_counts() {
     let timed_v = timed_vertex_partitions(&g, 4, 1, &split.train, Threads::serial());
     let (gnn, dgl) = (gnn(&g), dgl(&g, &split));
 
-    let (serial_e, timing) = trace_runs(&gnn, &timed_e, 2, None, false, Threads::serial()).unwrap();
-    assert_eq!(timing.threads, 1, "serial oracle runs one worker");
-    let (serial_v, _) = trace_runs(&dgl, &timed_v, 2, None, false, Threads::serial()).unwrap();
+    let serial_e = trace_runs(&gnn, &timed_e, 2, None, false, Threads::serial()).unwrap();
+    let serial_v = trace_runs(&dgl, &timed_v, 2, None, false, Threads::serial()).unwrap();
     for threads in THREAD_COUNTS {
-        let (par_e, _) = trace_runs(&gnn, &timed_e, 2, None, false, Threads::new(threads)).unwrap();
+        let par_e = trace_runs(&gnn, &timed_e, 2, None, false, Threads::new(threads)).unwrap();
         for ((pn, ps), (sn, ss)) in par_e.iter().zip(serial_e.iter()) {
             assert_eq!(pn, sn, "threads = {threads}: partitioner order");
             assert_eq!(ps.spans(), ss.spans(), "threads = {threads}: {pn} spans");
@@ -279,7 +278,7 @@ fn trace_runs_are_bit_identical_across_thread_counts() {
                 "threads = {threads}: {pn} chrome JSON bytes"
             );
         }
-        let (par_v, _) = trace_runs(&dgl, &timed_v, 2, None, false, Threads::new(threads)).unwrap();
+        let par_v = trace_runs(&dgl, &timed_v, 2, None, false, Threads::new(threads)).unwrap();
         for ((pn, ps), (sn, ss)) in par_v.iter().zip(serial_v.iter()) {
             assert_eq!(pn, sn, "threads = {threads}: partitioner order");
             assert_eq!(ps.spans(), ss.spans(), "threads = {threads}: {pn} spans");
@@ -297,10 +296,8 @@ fn diagnose_artifacts_are_byte_identical_across_thread_counts() {
     let (gnn, dgl) = (gnn(&g), dgl(&g, &split));
     let none = MitigationPolicy::none();
 
-    let (serial_e, timing) =
-        diagnose_runs(&gnn, &timed_e, 2, None, none, Threads::serial()).unwrap();
-    assert_eq!(timing.threads, 1, "serial oracle runs one worker");
-    let (serial_v, _) = diagnose_runs(&dgl, &timed_v, 2, None, none, Threads::serial()).unwrap();
+    let serial_e = diagnose_runs(&gnn, &timed_e, 2, None, none, Threads::serial()).unwrap();
+    let serial_v = diagnose_runs(&dgl, &timed_v, 2, None, none, Threads::serial()).unwrap();
     // Every artifact the diagnose layer exports, as bytes.
     let artifacts = |e: &[RunDiagnosis], v: &[RunDiagnosis]| -> Vec<String> {
         vec![
@@ -318,15 +315,13 @@ fn diagnose_artifacts_are_byte_identical_across_thread_counts() {
     };
     let oracle = artifacts(&serial_e, &serial_v);
     for threads in THREAD_COUNTS {
-        let (par_e, _) =
-            diagnose_runs(&gnn, &timed_e, 2, None, none, Threads::new(threads)).unwrap();
-        let (par_v, _) =
-            diagnose_runs(&dgl, &timed_v, 2, None, none, Threads::new(threads)).unwrap();
+        let par_e = diagnose_runs(&gnn, &timed_e, 2, None, none, Threads::new(threads)).unwrap();
+        let par_v = diagnose_runs(&dgl, &timed_v, 2, None, none, Threads::new(threads)).unwrap();
         assert_eq!(artifacts(&par_e, &par_v), oracle, "threads = {threads}");
     }
     // Run-to-run stability at a fixed parallel width.
-    let (a_e, _) = diagnose_runs(&gnn, &timed_e, 2, None, none, Threads::new(4)).unwrap();
-    let (a_v, _) = diagnose_runs(&dgl, &timed_v, 2, None, none, Threads::new(4)).unwrap();
+    let a_e = diagnose_runs(&gnn, &timed_e, 2, None, none, Threads::new(4)).unwrap();
+    let a_v = diagnose_runs(&dgl, &timed_v, 2, None, none, Threads::new(4)).unwrap();
     assert_eq!(artifacts(&a_e, &a_v), oracle, "repeated 4-thread runs");
 }
 
@@ -338,12 +333,12 @@ fn merged_metric_snapshots_are_associative_and_order_insensitive() {
     let g = graph();
     let timed = timed_edge_partitions(&g, 4, 1, Threads::serial());
     let gnn = gnn(&g);
-    let (serial, _) =
+    let serial =
         diagnose_runs(&gnn, &timed, 2, None, MitigationPolicy::none(), Threads::serial()).unwrap();
     let oracle = merged_snapshot(&serial);
     let mut rng = Rng::from_state(0xd1a6);
     for threads in [1usize, 2, 4, 8] {
-        let (runs, _) =
+        let runs =
             diagnose_runs(&gnn, &timed, 2, None, MitigationPolicy::none(), Threads::new(threads))
                 .unwrap();
         let snaps: Vec<MetricsSnapshot> = runs.iter().map(|r| r.snapshot.clone()).collect();
