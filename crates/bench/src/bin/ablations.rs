@@ -49,12 +49,11 @@
 //! `--quick` shrinks the fault/mitigation ablations to a tiny-scale
 //! smoke configuration (CSVs land in `results/ablations-quick` so the
 //! committed full-scale results stay untouched). `--threads N|auto`
-//! sets the sweep-level `gp-exec` pool width (one cell per job) and
-//! `--engine-threads N|auto` the intra-epoch width inside each engine
-//! (per-worker compute); the emitted CSVs are bit-identical for every
-//! choice of either knob (`--threads 1 --engine-threads 1` is the
-//! serial reference oracle) — only the wall-clock speedup printed to
-//! stdout changes.
+//! sets the `gp-exec` pool width (one sweep cell per job); every
+//! modeled column is bit-identical for every width (`--threads 1` is
+//! the serial reference oracle). One ablation name (default `all`) and
+//! these flags are the whole command line; anything else is a usage
+//! error (exit 2).
 
 use gp_bench::Ctx;
 use gp_cluster::{ClusterSpec, NetworkSpec, RunSpec};
@@ -67,20 +66,27 @@ use gp_graph::{DatasetId, GraphScale};
 use gp_partition::prelude::*;
 use gp_tensor::ModelKind;
 
+/// The usage line printed, with exit status 2, for any other command
+/// line.
+const USAGE: &str = "usage: ablations [hdrf-lambda|hep-tau|fanout|costmodel|cache|greedy|\
+                     extensions|cdr|faults|mitigation|phases|diagnose|chaos|netchaos|stream|\
+                     all] [--quick] [--prof] [--threads N|auto]";
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     args.retain(|a| a != "--quick");
     // `--prof` works for any ablation; the profile prints afterwards.
     let prof = gp_bench::take_prof_flag(&mut args);
-    let threads = match gp_bench::take_parallelism_flags(&mut args) {
-        Ok(t) => t,
+    let (threads, which) = match gp_bench::take_threads_flag(&mut args)
+        .and_then(|threads| Ok((threads, one_name(&args)?)))
+    {
+        Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("{e}\n{USAGE}");
             std::process::exit(2);
         }
     };
-    let which = args.first().map(String::as_str).unwrap_or("all");
     let (scale, out_dir) = if quick {
         (GraphScale::Tiny, "results/ablations-quick")
     } else {
@@ -121,17 +127,30 @@ fn main() {
             stream(&ctx, quick);
         }
         other => {
-            eprintln!(
-                "unknown ablation {other:?} \
-                 (hdrf-lambda|hep-tau|fanout|costmodel|cache|greedy|extensions|cdr|faults|\
-                 mitigation|phases|diagnose|chaos|netchaos|stream|all) [--quick] \
-                 [--prof] [--threads N|auto] [--engine-threads N|auto]"
-            );
+            eprintln!("unknown ablation {other:?}\n{USAGE}");
             std::process::exit(2);
         }
     }
     if prof {
         gp_bench::print_profile();
+    }
+}
+
+/// The one ablation name left in `args` once every known flag has been
+/// popped; `all` when none is left.
+///
+/// # Errors
+///
+/// A usage message naming the first leftover option, or the second
+/// name.
+fn one_name(args: &[String]) -> Result<&str, String> {
+    if let Some(option) = args.iter().find(|a| a.starts_with('-')) {
+        return Err(format!("unknown option {option:?}"));
+    }
+    match args {
+        [] => Ok("all"),
+        [name] => Ok(name),
+        [_, extra, ..] => Err(format!("one ablation per run, got {extra:?} as well")),
     }
 }
 
@@ -189,7 +208,6 @@ fn fanout(ctx: &Ctx) {
         config.fanouts = fanouts;
         let engine = DistDglEngine::builder(&graph, &partition, &split)
             .config(config)
-            .threads(ctx.threads.engine)
             .build()
             .expect("valid");
         let summary =
@@ -227,7 +245,6 @@ fn costmodel(ctx: &Ctx) {
         let config = DistGnnConfig::paper(PaperParams::middle().model(ModelKind::Sage), cluster);
         let base = DistGnnEngine::builder(&graph, &random.partition)
             .config(config)
-            .threads(ctx.threads.engine)
             .build()
             .expect("valid")
             .run(&RunSpec::healthy())
@@ -236,7 +253,6 @@ fn costmodel(ctx: &Ctx) {
             .remove(0);
         let own = DistGnnEngine::builder(&graph, &hep.partition)
             .config(config)
-            .threads(ctx.threads.engine)
             .build()
             .expect("valid")
             .run(&RunSpec::healthy())
@@ -267,7 +283,6 @@ fn cache(ctx: &Ctx) {
         config.feature_cache_entries = entries;
         let engine = DistDglEngine::builder(&graph, &partition, &split)
             .config(config)
-            .threads(ctx.threads.engine)
             .build()
             .expect("valid");
         let s = engine.run(&RunSpec::healthy()).expect("healthy run").into_healthy().remove(0);
@@ -682,7 +697,6 @@ fn cdr(ctx: &Ctx) {
         config.sync_period = period;
         let report = DistGnnEngine::builder(&graph, &random.partition)
             .config(config)
-            .threads(ctx.threads.engine)
             .build()
             .expect("valid")
             .run(&RunSpec::healthy())
@@ -697,4 +711,25 @@ fn cdr(ctx: &Ctx) {
         ]);
     }
     ctx.emit(&t);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::one_name;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn one_name_takes_exactly_one_ablation() {
+        assert_eq!(one_name(&args(&[])), Ok("all"));
+        assert_eq!(one_name(&args(&["fanout"])), Ok("fanout"));
+        let err = one_name(&args(&["fanout", "cache"])).unwrap_err();
+        assert!(err.contains("\"cache\""), "{err}");
+        let err = one_name(&args(&["fanout", "--bogus"])).unwrap_err();
+        assert!(err.contains("unknown option \"--bogus\""), "{err}");
+        let err = one_name(&args(&["--engine-threads", "4", "fanout"])).unwrap_err();
+        assert!(err.contains("unknown option \"--engine-threads\""), "{err}");
+    }
 }

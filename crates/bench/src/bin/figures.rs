@@ -5,22 +5,24 @@
 //! figures fig7 table4              # selected artifacts
 //! figures all --scale tiny         # quick smoke run
 //! figures all --out results/       # output directory
-//! figures all --threads 4          # sweep-level pool width (CSVs identical)
-//! figures all --engine-threads 4   # intra-epoch engine width (CSVs identical)
+//! figures all --threads 4          # pool width (modeled CSVs identical)
 //! figures all --prof               # host-time profile on stdout (CSVs identical)
 //! ```
+//!
+//! Every id is checked before the first artifact runs, so a misspelt
+//! id or an unknown option exits 2 without writing anything.
 
 use std::path::PathBuf;
 
 use gp_bench::{
-    print_profile, run_artifact, take_parallelism_flags, take_prof_flag, Ctx, ALL_ARTIFACTS,
+    print_profile, run_artifact, take_prof_flag, take_threads_flag, Ctx, ALL_ARTIFACTS,
 };
 use gp_graph::GraphScale;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let prof = take_prof_flag(&mut args);
-    let threads = match take_parallelism_flags(&mut args) {
+    let threads = match take_threads_flag(&mut args) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("{e}");
@@ -67,6 +69,11 @@ fn main() {
         print_usage();
         std::process::exit(2);
     }
+    if let Some(id) = ids.iter().find(|id| *id != "all" && !ALL_ARTIFACTS.contains(&id.as_str())) {
+        eprintln!("unknown artifact {id:?}");
+        print_usage();
+        std::process::exit(2);
+    }
     if ids.iter().any(|i| i == "all") {
         ids = ALL_ARTIFACTS.iter().map(|s| s.to_string()).collect();
     }
@@ -76,10 +83,7 @@ fn main() {
     for (n, id) in ids.iter().enumerate() {
         let start = std::time::Instant::now();
         eprintln!("[{}/{}] {id} ...", n + 1, total);
-        if !run_artifact(&ctx, id) {
-            eprintln!("unknown artifact {id:?}; known: {ALL_ARTIFACTS:?}");
-            std::process::exit(2);
-        }
+        assert!(run_artifact(&ctx, id), "every id was checked above");
         eprintln!("[{}/{}] {id} done in {:.1?}", n + 1, total, start.elapsed());
     }
     if prof {
@@ -90,7 +94,7 @@ fn main() {
 fn print_usage() {
     eprintln!(
         "usage: figures <artifact>... [--scale tiny|small|medium] [--out DIR] \
-         [--threads N|auto] [--engine-threads N|auto] [--prof]"
+         [--threads N|auto] [--prof]"
     );
     eprintln!("artifacts: all {}", ALL_ARTIFACTS.join(" "));
 }

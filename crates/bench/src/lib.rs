@@ -24,7 +24,7 @@ use std::rc::Rc;
 use gp_core::experiment::{
     timed_edge_partitions, timed_vertex_partitions, TimedEdgePartition, TimedVertexPartition,
 };
-use gp_exec::{Parallelism, Threads};
+use gp_exec::Threads;
 use gp_graph::{DatasetId, Graph, GraphScale, VertexSplit};
 
 /// Memoisation table keyed by `(dataset, k)`.
@@ -33,19 +33,16 @@ type PartCache<T> = RefCell<HashMap<(DatasetId, u32), Rc<Vec<T>>>>;
 /// Shared, memoising experiment context.
 ///
 /// The context itself is single-threaded (`Rc`-memoised); parallelism
-/// lives inside the `gp_core` sweeps it calls, steered by
-/// [`Ctx::threads`] — a two-level [`Parallelism`]: sweep-level cell
-/// fan-out plus intra-epoch engine compute. Both levels are
-/// bit-transparent, so any width pair reproduces the serial artifacts
-/// byte-for-byte.
+/// lives inside the `gp_core` sweeps it calls, which fan their cells
+/// out on [`Ctx::threads`] pool workers. The pool is bit-transparent,
+/// so any width reproduces the serial artifacts byte-for-byte.
 pub struct Ctx {
     /// Dataset scale for every experiment.
     pub scale: GraphScale,
     /// Output directory for CSV files.
     pub out_dir: PathBuf,
-    /// `(sweep, engine)` worker-count policy handed to every gp-core
-    /// sweep.
-    pub threads: Parallelism,
+    /// Worker-count policy handed to every gp-core sweep.
+    pub threads: Threads,
     graphs: RefCell<HashMap<DatasetId, Rc<Graph>>>,
     splits: RefCell<HashMap<DatasetId, Rc<VertexSplit>>>,
     edge_parts: PartCache<TimedEdgePartition>,
@@ -54,25 +51,18 @@ pub struct Ctx {
 
 impl Ctx {
     /// New context writing CSVs to `out_dir`, sweeping with
-    /// [`Threads::auto`] workers (engines stay serial unless asked).
+    /// [`Threads::auto`] workers.
     pub fn new(scale: GraphScale, out_dir: PathBuf) -> Self {
         Ctx::with_threads(scale, out_dir, Threads::auto())
     }
 
-    /// New context with an explicit worker-count policy. A bare
-    /// [`Threads`] sets the sweep level only; a full [`Parallelism`]
-    /// additionally threads the engines' intra-epoch compute
-    /// (`Threads::serial()` reproduces the historical sequential runs
-    /// bit-for-bit).
-    pub fn with_threads(
-        scale: GraphScale,
-        out_dir: PathBuf,
-        threads: impl Into<Parallelism>,
-    ) -> Self {
+    /// New context with an explicit worker-count policy
+    /// (`Threads::serial()` reproduces the sequential runs bit for bit).
+    pub fn with_threads(scale: GraphScale, out_dir: PathBuf, threads: Threads) -> Self {
         Ctx {
             scale,
             out_dir,
-            threads: threads.into(),
+            threads,
             graphs: RefCell::new(HashMap::new()),
             splits: RefCell::new(HashMap::new()),
             edge_parts: RefCell::new(HashMap::new()),
@@ -211,54 +201,6 @@ pub fn take_threads_flag(args: &mut Vec<String>) -> Result<Threads, String> {
     Ok(threads)
 }
 
-/// Pop an `--engine-threads N|auto` (or `--engine-threads=N`) flag out
-/// of `args`; absent means [`Threads::serial`] — intra-epoch engine
-/// compute stays sequential unless explicitly requested. Combine with
-/// [`take_threads_flag`] into a [`Parallelism`] via
-/// [`take_parallelism_flags`].
-///
-/// # Errors
-///
-/// A usage message when the value is missing or unparsable.
-pub fn take_engine_threads_flag(args: &mut Vec<String>) -> Result<Threads, String> {
-    let mut threads = Threads::serial();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(value) = args[i].strip_prefix("--engine-threads=") {
-            let value = value.to_string();
-            threads = Threads::parse(&value).ok_or_else(|| {
-                format!("--engine-threads expects a count or \"auto\", got {value:?}")
-            })?;
-            args.remove(i);
-        } else if args[i] == "--engine-threads" {
-            if i + 1 >= args.len() {
-                return Err("--engine-threads expects a count or \"auto\"".into());
-            }
-            let value = args.remove(i + 1);
-            threads = Threads::parse(&value).ok_or_else(|| {
-                format!("--engine-threads expects a count or \"auto\", got {value:?}")
-            })?;
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    Ok(threads)
-}
-
-/// Pop both `--threads` (sweep level) and `--engine-threads`
-/// (intra-epoch level) out of `args` and fold them into one two-level
-/// [`Parallelism`].
-///
-/// # Errors
-///
-/// A usage message when either value is missing or unparsable.
-pub fn take_parallelism_flags(args: &mut Vec<String>) -> Result<Parallelism, String> {
-    let engine = take_engine_threads_flag(args)?;
-    let sweep = take_threads_flag(args)?;
-    Ok(Parallelism::new(sweep, engine))
-}
-
 /// Pop `--prof` out of `args`; when it was given, turn the gp-prof
 /// scoped timers and allocation counters on. The profile never reaches
 /// an artifact file: every emitted CSV/JSON stays byte-identical with
@@ -360,35 +302,6 @@ mod tests {
         assert!(take_threads_flag(&mut args).is_err());
         let mut args: Vec<String> = ["--threads", "lots"].iter().map(|s| s.to_string()).collect();
         assert!(take_threads_flag(&mut args).is_err());
-    }
-
-    #[test]
-    fn engine_threads_flag_is_popped_and_parsed() {
-        let mut args: Vec<String> = ["quick", "--engine-threads", "4", "--threads", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let par = take_parallelism_flags(&mut args).unwrap();
-        assert_eq!(par.engine.count(), 4);
-        assert_eq!(par.sweep.count(), 2);
-        assert_eq!(args, ["quick"]);
-
-        // Absent flag keeps the engine level serial.
-        let mut args: Vec<String> = ["--threads=4"].iter().map(|s| s.to_string()).collect();
-        let par = take_parallelism_flags(&mut args).unwrap();
-        assert_eq!(par.engine, Threads::serial());
-        assert_eq!(par.sweep.count(), 4);
-
-        let mut args: Vec<String> =
-            ["--engine-threads=auto"].iter().map(|s| s.to_string()).collect();
-        assert!(take_engine_threads_flag(&mut args).unwrap().count() >= 1);
-        assert!(args.is_empty());
-
-        let mut args: Vec<String> = ["--engine-threads"].iter().map(|s| s.to_string()).collect();
-        assert!(take_engine_threads_flag(&mut args).is_err());
-        let mut args: Vec<String> =
-            ["--engine-threads", "lots"].iter().map(|s| s.to_string()).collect();
-        assert!(take_engine_threads_flag(&mut args).is_err());
     }
 
     #[test]

@@ -60,10 +60,6 @@ COMMANDS:
                                     none|steal|speculate|adaptive|all
                                     (default none; steal/speculate are
                                     DistDGL, adaptive cd-r is DistGNN)
-        --engine-threads N|auto     intra-epoch gp-exec pool width for
-                                    the engines' per-worker compute
-                                    (default 1; reports are identical
-                                    for every width)
     trace <edge-list>           simulate epochs and record a span trace
                                 (accepts every simulate option, incl.
                                 --faults and --mitigate, plus:)
@@ -251,9 +247,6 @@ pub struct SimulateCmd {
     /// Mitigation mode (`none|steal|speculate|adaptive|all`), validated
     /// at parse time against [`gp_cluster::MitigationPolicy::parse`].
     pub mitigate: String,
-    /// Intra-epoch `gp-exec` pool width for the engines' per-worker
-    /// compute (reports are bit-identical for every width).
-    pub engine_threads: Threads,
 }
 
 /// Options of `gnnpart trace`: a full simulation plus trace-export
@@ -550,7 +543,6 @@ fn default_simulate(input: PathBuf) -> SimulateCmd {
         checkpoint_every: 0,
         fault_seed: 42,
         mitigate: "none".into(),
-        engine_threads: Threads::serial(),
     }
 }
 
@@ -597,7 +589,6 @@ fn apply_simulate_flag(
             }
             cmd.mitigate = mode;
         }
-        "--engine-threads" => cmd.engine_threads = opts.threads("--engine-threads")?,
         _ => return Ok(false),
     }
     Ok(true)
@@ -913,39 +904,19 @@ mod tests {
         assert_eq!(c.checkpoint_every, 0);
         assert_eq!(c.fault_seed, 42);
         assert_eq!(c.mitigate, "none", "mitigation off by default");
-        assert_eq!(c.engine_threads, Threads::serial(), "serial engines by default");
     }
 
     #[test]
-    fn engine_threads_flag_shared_by_engine_commands() {
-        // The flag lives in the shared simulate handler, so every
-        // engine-running command inherits it.
-        for cmd in ["simulate", "trace", "diagnose", "chaos", "netchaos"] {
-            let parsed = parse(&[cmd, "g.el", "--engine-threads", "4"]).unwrap();
-            let sim = match &parsed {
-                Command::Simulate(c) => c,
-                Command::Trace(c) => &c.sim,
-                Command::Diagnose(c) => &c.sim,
-                Command::Chaos(c) => &c.sim,
-                Command::NetChaos(c) => &c.sim,
-                other => panic!("wrong command {other:?}"),
-            };
-            assert_eq!(sim.engine_threads, Threads::new(4), "{cmd}");
+    fn engine_commands_have_no_engine_width() {
+        // Engines run serially inside every pool cell; the engine
+        // commands take no second width.
+        for cmd in ["simulate", "trace", "diagnose", "chaos", "netchaos", "stream"] {
+            assert_eq!(
+                parse(&[cmd, "g.el", "--engine-threads", "4"]).unwrap_err().0,
+                "unknown option \"--engine-threads\"",
+                "{cmd}"
+            );
         }
-        let Command::Simulate(c) =
-            parse(&["simulate", "g.el", "--engine-threads", "auto"]).unwrap()
-        else {
-            panic!("wrong command");
-        };
-        assert_eq!(c.engine_threads, Threads::auto());
-        assert!(parse(&["simulate", "g.el", "--engine-threads", "many"])
-            .unwrap_err()
-            .0
-            .contains("--engine-threads expects"));
-        assert!(parse(&["simulate", "g.el", "--engine-threads"])
-            .unwrap_err()
-            .0
-            .contains("requires a value"));
     }
 
     #[test]
@@ -1338,8 +1309,6 @@ mod tests {
             "7",
             "--threads",
             "2",
-            "--engine-threads",
-            "4",
             "--bench-out",
             "b.json",
             "--csv-out",
@@ -1355,7 +1324,6 @@ mod tests {
         assert_eq!(c.batches, 12);
         assert_eq!(c.stream_seed, 7);
         assert_eq!(c.threads, Threads::new(2));
-        assert_eq!(c.sim.engine_threads, Threads::new(4));
         assert_eq!(c.bench_out, Some(PathBuf::from("b.json")));
         assert_eq!(c.csv_out, Some(PathBuf::from("c.csv")));
     }
@@ -1462,7 +1430,6 @@ mod tests {
     #[test]
     fn pool_width_and_numeric_flags_share_one_error_text() {
         let pool_widths = [
-            ("simulate", "--engine-threads"),
             ("chaos", "--threads"),
             ("netchaos", "--threads"),
             ("stream", "--threads"),

@@ -22,7 +22,7 @@ use gp_core::report::Table;
 use gp_core::stream_sweep::{stream_bench_json, stream_policies, stream_sweep, stream_table};
 use gp_core::trace_run::trace_run;
 use gp_distgnn::DistGnnError;
-use gp_exec::{par_map, Parallelism, Threads};
+use gp_exec::{par_map, Threads};
 use gp_graph::{edgelist, DatasetId, DegreeStats, Graph, StreamSpec, VertexSplit};
 use gp_partition::{EdgePartition, VertexPartition};
 use gp_tensor::{ModelConfig, ModelKind};
@@ -201,7 +201,7 @@ impl System for DistGnn<'_> {
         policy: MitigationPolicy,
         out: &mut String,
     ) -> CmdResult {
-        let engine = self.native_engine(partition, cmd.engine_threads, TraceSink::disabled())?;
+        let engine = self.native_engine(partition, TraceSink::disabled())?;
         writeln!(out, "DistGNN (full-batch) on {} machines with {}", cmd.k, cmd.algo)?;
         writeln!(out, "replication factor: {:.3}", partition.replication_factor())?;
         if cmd.faults {
@@ -254,7 +254,7 @@ impl System for DistDgl<'_> {
         policy: MitigationPolicy,
         out: &mut String,
     ) -> CmdResult {
-        let engine = self.native_engine(partition, cmd.engine_threads, TraceSink::disabled())?;
+        let engine = self.native_engine(partition, TraceSink::disabled())?;
         writeln!(out, "DistDGL (mini-batch) on {} machines with {}", cmd.k, cmd.algo)?;
         writeln!(out, "edge-cut ratio:  {:.4}", partition.edge_cut_ratio())?;
         if cmd.faults {
@@ -437,7 +437,7 @@ impl Body for &TraceCmd {
         let policy = mitigation(&sim.mitigate)?;
         let partition = partition_of(family, sim)?;
         let sink = TraceSink::enabled();
-        let engine = family.engine(&partition, sim.engine_threads, sink.clone())?;
+        let engine = family.engine(&partition, sink.clone())?;
         println!("tracing {} on {} machines with {}", F::LABEL, sim.k, sim.algo);
         let (epochs, aborted) = engine.run(&fault_spec(sim, policy))?.into_faulty();
         if let Some(e) = aborted {
@@ -480,7 +480,7 @@ impl Body for &DiagnoseCmd {
         let partition = partition_of(family, sim)?;
         let spec = fault_spec(sim, policy);
         println!("diagnosing {} on {} machines with {}", F::LABEL, sim.k, sim.algo);
-        let runs = [diagnose_run(family, &partition, &sim.algo, &spec, sim.engine_threads)?];
+        let runs = [diagnose_run(family, &partition, &sim.algo, &spec)?];
         let run = &runs[0];
         println!(
             "epoch time sum:     {:.3} ms over {} epochs",
@@ -533,7 +533,6 @@ impl Body for &ChaosCmd {
     fn run<F: System>(self, family: &F) -> CmdResult {
         let sim = &self.sim;
         let timed = soak_partitions(family, "chaos", sim, self.threads)?;
-        let par = Parallelism::new(self.threads, sim.engine_threads);
         let rows = chaos_soak(
             family,
             &timed,
@@ -541,7 +540,7 @@ impl Body for &ChaosCmd {
             sim.mtbf,
             sim.checkpoint_every,
             sim.fault_seed,
-            par,
+            self.threads,
         );
         let red = rows.iter().filter(|r| !r.holds());
         let fails = red.clone().map(|r| {
@@ -612,7 +611,6 @@ impl Body for &NetChaosCmd {
             .elastic(churn, checkpoints, ElasticOptions::default())
             .net(net, NetRunOptions::default());
         let timed = soak_partitions(family, "netchaos", sim, self.threads)?;
-        let par = Parallelism::new(self.threads, sim.engine_threads);
         let rows = netchaos_soak(
             family,
             &timed,
@@ -620,13 +618,13 @@ impl Body for &NetChaosCmd {
             sim.mtbf,
             sim.checkpoint_every,
             sim.fault_seed,
-            par,
+            self.threads,
         );
         // One extra traced partitioned run of the roster's first
         // partitioner feeds the Prometheus exposition: the soak's own
         // sinks stay internal to its verdicts.
         let traced = match self.prom_out {
-            Some(_) => Some(trace_run(family, &timed[0].partition, &spec, sim.engine_threads)?),
+            Some(_) => Some(trace_run(family, &timed[0].partition, &spec)?),
             None => None,
         };
         let red = rows.iter().filter(|r| !r.holds());
@@ -701,8 +699,7 @@ impl Body for &StreamCmd {
             self.batches,
             self.stream_seed
         );
-        let par = Parallelism::new(self.threads, sim.engine_threads);
-        let rows = stream_sweep(family, &names, sim.k, &spec, &policies, 42, par);
+        let rows = stream_sweep(family, &names, sim.k, &spec, &policies, 42, self.threads);
         let red = rows.iter().filter(|r| !r.holds());
         let fails = red.clone().map(|r| {
             format!(
@@ -920,7 +917,6 @@ mod tests {
             checkpoint_every: 0,
             fault_seed: 42,
             mitigate: "none".into(),
-            engine_threads: gp_exec::Threads::serial(),
         }
     }
 
@@ -935,13 +931,6 @@ mod tests {
         .unwrap();
         simulate(sim_cmd(&el, "HDRF", "distgnn", "sage")).unwrap();
         simulate(sim_cmd(&el, "METIS", "distdgl", "gcn")).unwrap();
-        // Threaded intra-epoch engines take the same path end to end.
-        let mut c = sim_cmd(&el, "HDRF", "distgnn", "sage");
-        c.engine_threads = gp_exec::Threads::new(4);
-        simulate(c).unwrap();
-        let mut c = sim_cmd(&el, "METIS", "distdgl", "gcn");
-        c.engine_threads = gp_exec::Threads::new(4);
-        simulate(c).unwrap();
         let _ = std::fs::remove_file(el);
     }
 

@@ -18,7 +18,7 @@
 //! epoch.
 
 use gp_cluster::{RunSpec, TraceSink};
-use gp_exec::{par_map, Parallelism};
+use gp_exec::{par_map, Threads};
 
 use crate::family::Family;
 
@@ -64,29 +64,22 @@ impl Recommendation {
 /// Partitioning runs and per-candidate epoch simulations are cells on
 /// the `gp-exec` pool. The simulated epoch times (and thus speedups and
 /// the ranking for a fixed set of wall-clock partition times) are
-/// bit-identical for every `(sweep, engine)` width pair; the measured
+/// bit-identical for every pool width; the measured
 /// `partition_seconds` are wall clock and vary run to run exactly as
 /// they do serially.
-pub fn recommend<F: Family>(
-    family: &F,
-    k: u32,
-    epochs: u32,
-    par: impl Into<Parallelism>,
-) -> Recommendation {
-    let par = par.into();
-    let timed = family.timed_partitions(k, 0xad71, par);
+pub fn recommend<F: Family>(family: &F, k: u32, epochs: u32, threads: Threads) -> Recommendation {
+    let timed = family.timed_partitions(k, 0xad71, threads);
     let epoch_jobs: Vec<_> = timed
         .iter()
         .map(|t| {
             move || {
-                let engine = family
-                    .engine(&t.partition, par.engine, TraceSink::disabled())
-                    .expect("valid config");
+                let engine =
+                    family.engine(&t.partition, TraceSink::disabled()).expect("valid config");
                 engine.run(&RunSpec::healthy()).expect("healthy run").into_healthy()[0].seconds
             }
         })
         .collect();
-    let epoch_times = par_map(par.sweep, epoch_jobs);
+    let epoch_times = par_map(threads, epoch_jobs);
     let random_idx = timed.iter().position(|t| t.name == "Random").expect("baseline");
     let base_epoch = epoch_times[random_idx];
     let mut ranked: Vec<_> = timed

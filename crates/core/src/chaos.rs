@@ -27,7 +27,7 @@ use gp_cluster::{
     fold_exact, CheckpointConfig, ChurnPlan, ChurnSpec, ElasticOptions, ElasticRunReport,
     FaultPlan, FaultSpec, MetricsSnapshot, RunSpec, TracePhase, TraceSink,
 };
-use gp_exec::{par_map, Parallelism, Threads};
+use gp_exec::{par_map, Threads};
 
 use crate::experiment::Timed;
 use crate::family::{Engine, Family, Run};
@@ -176,20 +176,19 @@ pub(crate) struct SoakRuns<R> {
 pub(crate) fn soak<F: Family, R, Row>(
     family: &F,
     partition: &F::Partition,
-    threads: Threads,
     specs: [RunSpec; 2],
     report: fn(Run<F::Error>) -> R,
     fold: impl FnOnce(&Engine<'_, F::Error>, SoakRuns<R>) -> Row,
 ) -> Option<Row> {
     let [spec, baseline] = specs;
-    let engine = family.engine(partition, threads, TraceSink::disabled()).expect("valid config");
+    let engine = family.engine(partition, TraceSink::disabled()).expect("valid config");
     let run = report(engine.run(&spec).ok()?);
     let again = report(engine.run(&spec).expect("rerun of a completed schedule"));
     let baseline = engine.run(&baseline).ok().map(report);
     let sink = TraceSink::enabled();
     let traced = report(
         family
-            .engine(partition, threads, sink.clone())
+            .engine(partition, sink.clone())
             .expect("valid config")
             .run(&spec)
             .expect("traced rerun of a completed schedule"),
@@ -271,7 +270,7 @@ fn assemble_row(
 /// [`chaos_churn_spec`], faults from [`FaultSpec::standard`] at `mtbf`,
 /// snapshots every `checkpoint_every` epochs. One job per partitioner
 /// on the `gp-exec` pool, rows in `timed` order, bit-identical for
-/// every `(sweep, engine)` width pair (each cell is pure and owns its
+/// every pool width (each cell is pure and owns its
 /// trace sink). The healthy baseline is [`Family::healthy_seconds`]
 /// over the completed epochs.
 pub fn chaos_soak<F: Family>(
@@ -281,9 +280,8 @@ pub fn chaos_soak<F: Family>(
     mtbf: f64,
     checkpoint_every: u32,
     seed: u64,
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Vec<ChaosRow> {
-    let par = par.into();
     let jobs: Vec<_> = timed
         .iter()
         .map(|t| {
@@ -291,7 +289,7 @@ pub fn chaos_soak<F: Family>(
                 let k = F::machines(&t.partition);
                 let specs = [ElasticOptions::default(), ElasticOptions::no_handoff()]
                     .map(|options| soak_spec(k, epochs, mtbf, checkpoint_every, seed, options));
-                soak(family, &t.partition, par.engine, specs, Run::into_elastic, |engine, runs| {
+                soak(family, &t.partition, specs, Run::into_elastic, |engine, runs| {
                     let healthy = F::healthy_seconds(engine, epochs, runs.run.completed_epochs);
                     assemble_row(&t.name, k, epochs, F::PHASES, healthy, &runs)
                 })
@@ -299,7 +297,7 @@ pub fn chaos_soak<F: Family>(
             }
         })
         .collect();
-    par_map(par.sweep, jobs)
+    par_map(threads, jobs)
 }
 
 /// Render chaos rows as a [`Table`] (CSV / Markdown ready). The last

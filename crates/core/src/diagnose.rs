@@ -21,7 +21,7 @@ use gp_cluster::{
     fold_exact, FaultPlan, MetricsRegistry, MetricsSnapshot, MitigationPolicy, RunReport, RunSpec,
     TracePhase, TraceSink,
 };
-use gp_exec::{Parallelism, Threads};
+use gp_exec::Threads;
 
 use crate::experiment::Timed;
 use crate::family::{try_cells, Epoch, Family};
@@ -160,10 +160,9 @@ pub fn diagnose_run<F: Family>(
     partition: &F::Partition,
     name: &str,
     spec: &RunSpec,
-    engine_threads: Threads,
 ) -> Result<RunDiagnosis, F::Error> {
     let sink = TraceSink::enabled();
-    let engine = family.engine(partition, engine_threads, sink.clone())?;
+    let engine = family.engine(partition, sink.clone())?;
     let epochs: Vec<Epoch> = match engine.run(spec)?.strict()? {
         RunReport::Faulty { epochs, .. } => epochs,
         _ => return Err(F::invalid(NOT_DIAGNOSABLE)),
@@ -212,12 +211,11 @@ pub fn diagnose_runs<F: Family>(
     epochs: u32,
     plan: Option<&FaultPlan>,
     policy: MitigationPolicy,
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Result<Vec<RunDiagnosis>, F::Error> {
     let _prof = gp_prof::scope_label(|| format!("core.diagnose.{}", F::NAME));
-    let par = par.into();
     let spec = &diagnose_spec(epochs, plan, policy);
-    try_cells(timed, par.sweep, |t| diagnose_run(family, &t.partition, &t.name, spec, par.engine))
+    try_cells(timed, threads, |t| diagnose_run(family, &t.partition, &t.name, spec))
 }
 
 /// Merge the per-run snapshots in index order into one cluster-wide
@@ -449,7 +447,6 @@ mod tests {
             &timed[0].partition,
             &timed[0].name,
             &diagnose_spec(3, None, MitigationPolicy::none()),
-            Threads::serial(),
         )
         .unwrap();
         // 4 workers × 4 reported phases × one exact comparison each.
@@ -473,7 +470,7 @@ mod tests {
         let timed = timed_edge_partitions(&g, 4, 1, Threads::serial());
         let healthy = RunSpec::healthy().epochs(2);
         let part = &timed[0].partition;
-        let err = diagnose_run(&gnn(&g), part, "x", &healthy, Threads::serial());
+        let err = diagnose_run(&gnn(&g), part, "x", &healthy);
         assert!(matches!(err, Err(gp_distgnn::DistGnnError::InvalidConfig(_))), "{err:?}");
     }
 
@@ -493,7 +490,6 @@ mod tests {
                 &timed[0].partition,
                 "hdrf",
                 &diagnose_spec(3, Some(&plan), policy),
-                Threads::serial(),
             )
             .unwrap();
             assert_eq!(d.cross_checks, 16, "policy = {policy:?}");
@@ -515,7 +511,6 @@ mod tests {
             &timed[0].partition,
             &timed[0].name,
             &diagnose_spec(2, None, MitigationPolicy::none()),
-            Threads::serial(),
         )
         .unwrap();
         // 4 workers × 5 reported phases.

@@ -1,6 +1,6 @@
 //! Timed partitioning runs.
 
-use gp_exec::{par_map, Parallelism};
+use gp_exec::{par_map, Threads};
 use gp_graph::Graph;
 use gp_partition::{EdgePartition, PartitionError, VertexPartition};
 
@@ -24,8 +24,8 @@ pub type TimedEdgePartition = Timed<EdgePartition>;
 pub type TimedVertexPartition = Timed<VertexPartition>;
 
 /// Run all six edge partitioners on `graph` with `k` parts, timing
-/// each, one job per partitioner on the `gp-exec` pool (only the sweep
-/// width of `par` applies). Results come in registry order. The
+/// each, one job per partitioner on a `threads`-wide `gp-exec` pool.
+/// Results come in registry order. The
 /// partitions are bit-identical for every width; only the wall-clock
 /// `seconds` fields vary run to run (they time real work, threaded or
 /// not).
@@ -38,9 +38,9 @@ pub fn timed_edge_partitions(
     graph: &Graph,
     k: u32,
     seed: u64,
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Vec<TimedEdgePartition> {
-    timed_partitions(registry::edge_partitioner_names(), par, |name| {
+    timed_partitions(registry::edge_partitioner_names(), threads, |name| {
         let p = registry::edge_partitioner(name).expect("registered");
         move || p.partition_edges(graph, k, seed)
     })
@@ -58,9 +58,9 @@ pub fn timed_vertex_partitions(
     k: u32,
     seed: u64,
     train: &[u32],
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Vec<TimedVertexPartition> {
-    timed_partitions(registry::vertex_partitioner_names(), par, |name| {
+    timed_partitions(registry::vertex_partitioner_names(), threads, |name| {
         let p = registry::vertex_partitioner(name, Some(train.to_vec())).expect("registered");
         move || p.partition_vertices(graph, k, seed)
     })
@@ -71,7 +71,7 @@ pub fn timed_vertex_partitions(
 /// `partition.<name>` profile scope.
 fn timed_partitions<P, R>(
     names: &'static [&'static str],
-    par: impl Into<Parallelism>,
+    threads: Threads,
     build: impl Fn(&'static str) -> R + Sync,
 ) -> Vec<Timed<P>>
 where
@@ -91,7 +91,7 @@ where
             }
         })
         .collect();
-    par_map(par.into().sweep, jobs)
+    par_map(threads, jobs)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use gp_cluster::{
 };
 use gp_distdgl::{DistDglConfig, DistDglEngine, DistDglError, EpochSummary};
 use gp_distgnn::{DistGnnConfig, DistGnnEngine, DistGnnError, EpochReport};
-use gp_exec::{par_map, Parallelism, Threads};
+use gp_exec::{par_map, Threads};
 use gp_graph::{Graph, VertexSplit};
 use gp_partition::{EdgePartition, PartitionError, VertexPartition};
 use gp_tensor::ModelConfig;
@@ -111,7 +111,6 @@ pub trait Family: Sync {
     fn engine<'a>(
         &'a self,
         partition: &'a Self::Partition,
-        threads: Threads,
         trace: TraceSink,
     ) -> Result<Engine<'a, Self::Error>, Self::Error>;
 
@@ -122,12 +121,7 @@ pub trait Family: Sync {
 
     /// Every [`Family::ROSTER`] partition of the family's graph into `k`
     /// parts, timed and in roster order, as [`timed_edge_partitions`].
-    fn timed_partitions(
-        &self,
-        k: u32,
-        seed: u64,
-        par: impl Into<Parallelism>,
-    ) -> Vec<Timed<Self::Partition>>;
+    fn timed_partitions(&self, k: u32, seed: u64, threads: Threads) -> Vec<Timed<Self::Partition>>;
 
     /// Healthy seconds of the first `completed` epochs of an
     /// `epochs`-epoch run on `engine`.
@@ -173,11 +167,10 @@ impl<'g> DistGnn<'g> {
     pub fn native_engine(
         &self,
         partition: &'g EdgePartition,
-        threads: Threads,
         trace: TraceSink,
     ) -> Result<DistGnnEngine<'g>, DistGnnError> {
         let builder = DistGnnEngine::builder(self.graph, partition);
-        builder.config(self.config(partition.k())).trace(trace).threads(threads).build()
+        builder.config(self.config(partition.k())).trace(trace).build()
     }
 
     /// One healthy epoch over `partition`, serial and untraced.
@@ -186,7 +179,7 @@ impl<'g> DistGnn<'g> {
     ///
     /// If the engine cannot be built (a model other than GraphSAGE).
     pub fn healthy_epoch(&self, partition: &EdgePartition) -> EpochReport {
-        let engine = self.native_engine(partition, Threads::serial(), TraceSink::disabled());
+        let engine = self.native_engine(partition, TraceSink::disabled());
         let run = engine.expect("valid config").run(&RunSpec::healthy());
         run.expect("healthy run").into_healthy().remove(0)
     }
@@ -208,10 +201,9 @@ impl Family for DistGnn<'_> {
     fn engine<'a>(
         &'a self,
         partition: &'a EdgePartition,
-        threads: Threads,
         trace: TraceSink,
     ) -> Result<Engine<'a, DistGnnError>, DistGnnError> {
-        let engine = self.native_engine(partition, threads, trace)?;
+        let engine = self.native_engine(partition, trace)?;
         Ok(Engine(Box::new(move |spec| {
             Ok(unify(
                 engine.run(spec)?,
@@ -225,13 +217,8 @@ impl Family for DistGnn<'_> {
         Some(registry::edge_partitioner(name)?.partition_edges(self.graph, k, seed))
     }
 
-    fn timed_partitions(
-        &self,
-        k: u32,
-        seed: u64,
-        par: impl Into<Parallelism>,
-    ) -> Vec<Timed<EdgePartition>> {
-        timed_edge_partitions(self.graph, k, seed, par)
+    fn timed_partitions(&self, k: u32, seed: u64, threads: Threads) -> Vec<Timed<EdgePartition>> {
+        timed_edge_partitions(self.graph, k, seed, threads)
     }
 
     /// One healthy epoch times the completed count: full-batch epochs
@@ -282,11 +269,10 @@ impl<'g> DistDgl<'g> {
     pub fn native_engine(
         &self,
         partition: &'g VertexPartition,
-        threads: Threads,
         trace: TraceSink,
     ) -> Result<DistDglEngine<'g>, DistDglError> {
         let builder = DistDglEngine::builder(self.graph, partition, self.split);
-        builder.config(self.config(partition.k())).trace(trace).threads(threads).build()
+        builder.config(self.config(partition.k())).trace(trace).build()
     }
 
     /// One healthy epoch over `partition`, serial and untraced.
@@ -295,7 +281,7 @@ impl<'g> DistDgl<'g> {
     ///
     /// If the engine cannot be built.
     pub fn healthy_epoch(&self, partition: &VertexPartition) -> EpochSummary {
-        let engine = self.native_engine(partition, Threads::serial(), TraceSink::disabled());
+        let engine = self.native_engine(partition, TraceSink::disabled());
         let run = engine.expect("valid config").run(&RunSpec::healthy());
         run.expect("healthy run").into_healthy().remove(0)
     }
@@ -322,10 +308,9 @@ impl Family for DistDgl<'_> {
     fn engine<'a>(
         &'a self,
         partition: &'a VertexPartition,
-        threads: Threads,
         trace: TraceSink,
     ) -> Result<Engine<'a, DistDglError>, DistDglError> {
-        let engine = self.native_engine(partition, threads, trace)?;
+        let engine = self.native_engine(partition, trace)?;
         Ok(Engine(Box::new(move |spec| {
             Ok(unify(
                 engine.run(spec)?,
@@ -342,13 +327,8 @@ impl Family for DistDgl<'_> {
         )
     }
 
-    fn timed_partitions(
-        &self,
-        k: u32,
-        seed: u64,
-        par: impl Into<Parallelism>,
-    ) -> Vec<Timed<VertexPartition>> {
-        timed_vertex_partitions(self.graph, k, seed, &self.split.train, par)
+    fn timed_partitions(&self, k: u32, seed: u64, threads: Threads) -> Vec<Timed<VertexPartition>> {
+        timed_vertex_partitions(self.graph, k, seed, &self.split.train, threads)
     }
 
     /// The sum over the completed prefix of an `epochs`-epoch healthy
@@ -419,7 +399,7 @@ mod tests {
     }
 
     fn healthy_epoch<F: Family>(family: &F, partition: &F::Partition) -> Epoch {
-        let engine = family.engine(partition, Threads::serial(), TraceSink::disabled()).unwrap();
+        let engine = family.engine(partition, TraceSink::disabled()).unwrap();
         engine.run(&RunSpec::healthy()).unwrap().into_healthy().remove(0)
     }
 
@@ -508,7 +488,7 @@ mod tests {
             .run(&RunSpec::healthy().epochs(3))
             .unwrap()
             .into_healthy();
-        let engine = gnn.engine(&p, Threads::serial(), TraceSink::disabled()).unwrap();
+        let engine = gnn.engine(&p, TraceSink::disabled()).unwrap();
         let unified = engine.run(&RunSpec::healthy().epochs(3)).unwrap().into_healthy();
         assert_eq!(unified.len(), raw.len());
         for (u, r) in unified.iter().zip(&raw) {
@@ -532,7 +512,7 @@ mod tests {
             .run(&RunSpec::healthy().epochs(3))
             .unwrap()
             .into_healthy();
-        let engine = dgl.engine(&p, Threads::serial(), TraceSink::disabled()).unwrap();
+        let engine = dgl.engine(&p, TraceSink::disabled()).unwrap();
         let unified = engine.run(&RunSpec::healthy().epochs(3)).unwrap().into_healthy();
         assert_eq!(unified.len(), raw.len());
         for (u, r) in unified.iter().zip(&raw) {
@@ -547,7 +527,7 @@ mod tests {
         let g = graph();
         let gnn = DistGnn::new(&g, model());
         let p = gnn.partition("HDRF", 4, 1).unwrap().unwrap();
-        let engine = gnn.engine(&p, Threads::serial(), TraceSink::disabled()).unwrap();
+        let engine = gnn.engine(&p, TraceSink::disabled()).unwrap();
         let one = engine.run(&RunSpec::healthy()).unwrap().into_healthy()[0].seconds;
         for completed in [0, 1, 5, 7] {
             let got = DistGnn::healthy_seconds(&engine, 10, completed);
@@ -566,7 +546,7 @@ mod tests {
         let s = split(&g);
         let dgl = DistDgl { global_batch_size: 256, ..DistDgl::new(&g, &s, model()) };
         let p = dgl.partition("METIS", 4, 1).unwrap().unwrap();
-        let engine = dgl.engine(&p, Threads::serial(), TraceSink::disabled()).unwrap();
+        let engine = dgl.engine(&p, TraceSink::disabled()).unwrap();
         let run = engine.run(&RunSpec::healthy().epochs(6)).unwrap().into_healthy();
         for completed in [0, 1, 4, 6] {
             let want = run[..completed].iter().fold(0.0, |sum, e| sum + e.seconds);

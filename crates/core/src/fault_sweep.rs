@@ -10,7 +10,7 @@
 use gp_cluster::{
     FaultPlan, FaultSpec, MitigationPolicy, MitigationReport, RecoveryReport, RunSpec, TraceSink,
 };
-use gp_exec::{par_map, Parallelism};
+use gp_exec::{par_map, Threads};
 
 use crate::experiment::Timed;
 use crate::family::Family;
@@ -57,8 +57,8 @@ impl FaultSweepRow {
 
 /// Sweep every timed partition × MTBF through `family`'s engine: one
 /// job per (partitioner, MTBF) cell on the `gp-exec` pool, rows
-/// partitioner-major, bit-identical for every `(sweep, engine)` width
-/// pair. The faulty run uses the [`RunSpec`] truncate-and-record
+/// partitioner-major, bit-identical for every pool
+/// width. The faulty run uses the [`RunSpec`] truncate-and-record
 /// contract: completed epochs are exactly the prefix before the first
 /// unrecoverable failure, and the healthy baseline covers that prefix
 /// ([`Family::healthy_seconds`]). DistGNN recovers from crashes through
@@ -72,17 +72,15 @@ pub fn fault_sweep<F: Family>(
     epochs: u32,
     mtbfs: &[f64],
     seed: u64,
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Vec<FaultSweepRow> {
-    let par = par.into();
     let mut jobs = Vec::with_capacity(timed.len() * mtbfs.len());
     for t in timed {
         for &mtbf in mtbfs {
             jobs.push(move || {
                 let k = F::machines(&t.partition);
-                let engine = family
-                    .engine(&t.partition, par.engine, TraceSink::disabled())
-                    .expect("valid config");
+                let engine =
+                    family.engine(&t.partition, TraceSink::disabled()).expect("valid config");
                 let plan = FaultPlan::generate(&FaultSpec::standard(k, epochs, mtbf, seed));
                 let (faulty, _) = engine
                     .run(&RunSpec::healthy().epochs(epochs).faults(plan))
@@ -110,7 +108,7 @@ pub fn fault_sweep<F: Family>(
             });
         }
     }
-    par_map(par.sweep, jobs)
+    par_map(threads, jobs)
 }
 
 /// One (partitioner, policy) cell of a mitigation sweep: the *same*
@@ -182,25 +180,23 @@ pub fn mitigation_stress_spec(machines: u32, epochs: u32, seed: u64) -> FaultSpe
 /// (and both runs), so rows are comparable cell to cell; same spec ⇒
 /// bit-identical rows. One job per partitioner on the `gp-exec` pool
 /// (the mitigation session lives inside the mitigated run), rows in
-/// `timed` order, bit-identical for every `(sweep, engine)` width pair.
+/// `timed` order, bit-identical for every pool width.
 /// `completed` is the prefix both runs finished.
 pub fn mitigation_sweep<F: Family>(
     family: &F,
     timed: &[Timed<F::Partition>],
     spec: &FaultSpec,
     policy: MitigationPolicy,
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Vec<MitigationSweepRow> {
-    let par = par.into();
     let faults = RunSpec::healthy().epochs(spec.epochs).faults(FaultPlan::generate(spec));
     let jobs: Vec<_> = timed
         .iter()
         .map(|t| {
             let faults = &faults;
             move || {
-                let engine = family
-                    .engine(&t.partition, par.engine, TraceSink::disabled())
-                    .expect("valid config");
+                let engine =
+                    family.engine(&t.partition, TraceSink::disabled()).expect("valid config");
                 let (unmit, _) = engine.run(faults).expect("valid spec").into_faulty();
                 let (mit, _) =
                     engine.run(&faults.clone().mitigate(policy)).expect("valid spec").into_faulty();
@@ -233,7 +229,7 @@ pub fn mitigation_sweep<F: Family>(
             }
         })
         .collect();
-    par_map(par.sweep, jobs)
+    par_map(threads, jobs)
 }
 
 /// Render mitigation-sweep rows as a [`Table`] (CSV / Markdown ready).

@@ -48,12 +48,9 @@
 //! * [`report`] — CSV and Markdown emitters for every figure and table.
 //!
 //! Every sweep, runner, advisor and timed-partition function runs its
-//! cells on the `gp-exec` pool ([`gp_exec::par_map`]) and takes
-//! `par: impl Into<gp_exec::Parallelism>`: a bare `Threads` selects
-//! sweep-level fan-out only, while a full
-//! [`Parallelism`](gp_exec::Parallelism) additionally threads the
-//! engines' intra-epoch compute. Output is bit-identical for every
-//! `(sweep, engine)` width pair; `Threads::serial()` is the oracle.
+//! cells on the `gp-exec` pool ([`gp_exec::par_map`]) and takes its
+//! width as `threads: Threads`. Output is bit-identical for every
+//! pool width; `Threads::serial()` is the oracle.
 
 pub mod advisor;
 pub mod amortize;
@@ -106,5 +103,5 @@ pub mod prelude {
     };
     pub use crate::sweep::{distdgl_grid, distgnn_grid, DistDglGridOutcome, DistGnnGridOutcome};
     pub use crate::trace_run::{phase_table, trace_run, trace_runs, trace_spec};
-    pub use gp_exec::{par_map, Parallelism, Threads};
+    pub use gp_exec::{par_map, Threads};
 }

@@ -36,7 +36,7 @@
 use gp_cluster::{
     ElasticOptions, NetFaultPlan, NetFaultSpec, NetRunOptions, PartitionedRunReport, TracePhase,
 };
-use gp_exec::{par_map, Parallelism};
+use gp_exec::{par_map, Threads};
 
 use crate::chaos::{soak, soak_spec, spans_exact, SoakRuns};
 use crate::experiment::Timed;
@@ -190,7 +190,7 @@ fn assemble_row(
 /// `checkpoint_every` epochs; the baseline is
 /// [`NetRunOptions::abort_only`]. One job per partitioner on the
 /// `gp-exec` pool, rows in `timed` order, bit-identical for every
-/// `(sweep, engine)` width pair (each cell is pure and owns its trace
+/// pool width (each cell is pure and owns its trace
 /// sink).
 pub fn netchaos_soak<F: Family>(
     family: &F,
@@ -199,9 +199,8 @@ pub fn netchaos_soak<F: Family>(
     mtbf: f64,
     checkpoint_every: u32,
     seed: u64,
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Vec<NetChaosRow> {
-    let par = par.into();
     let jobs: Vec<_> = timed
         .iter()
         .map(|t| {
@@ -220,14 +219,14 @@ pub fn netchaos_soak<F: Family>(
                         )
                         .net(net.clone(), options)
                     });
-                soak(family, &t.partition, par.engine, specs, Run::into_partitioned, |_, runs| {
+                soak(family, &t.partition, specs, Run::into_partitioned, |_, runs| {
                     assemble_row(&t.name, k, epochs, F::PHASES, &runs)
                 })
                 .unwrap_or_else(|| NetChaosRow::failed(t.name.clone(), epochs))
             }
         })
         .collect();
-    par_map(par.sweep, jobs)
+    par_map(threads, jobs)
 }
 
 /// Render network-chaos rows as a [`Table`] (CSV / Markdown ready). The

@@ -35,7 +35,7 @@
 //! against the decayed `never` baseline.
 
 use gp_cluster::{RunSpec, StreamRunReport, TraceSink};
-use gp_exec::{par_map, Parallelism, Threads};
+use gp_exec::{par_map, Threads};
 use gp_graph::StreamSpec;
 use gp_partition::RepartitionPolicy;
 
@@ -193,7 +193,7 @@ fn assemble_row(
 /// snapshot (arrivals join no role). One job per partitioner on the
 /// `gp-exec` pool; its policies run in sequence inside the cell,
 /// sharing the `never` baseline. Rows come in `names` × `policies`
-/// order, bit-identical for every `(sweep, engine)` width pair. The
+/// order, bit-identical for every pool width. The
 /// t = 0 partition is built inside the cell from the registry at
 /// `partition_seed`, so rows never depend on wall clock.
 pub fn stream_sweep<F: Family>(
@@ -203,16 +203,13 @@ pub fn stream_sweep<F: Family>(
     spec: &StreamSpec,
     policies: &[RepartitionPolicy],
     partition_seed: u64,
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Vec<StreamSweepRow> {
-    let par = par.into();
     let jobs: Vec<_> = names
         .iter()
-        .map(|&name| {
-            move || stream_cell(family, name, k, spec, policies, partition_seed, par.engine)
-        })
+        .map(|&name| move || stream_cell(family, name, k, spec, policies, partition_seed))
         .collect();
-    par_map(par.sweep, jobs).into_iter().flatten().collect()
+    par_map(threads, jobs).into_iter().flatten().collect()
 }
 
 /// One partitioner's rows of [`stream_sweep`].
@@ -223,13 +220,12 @@ fn stream_cell<F: Family>(
     spec: &StreamSpec,
     policies: &[RepartitionPolicy],
     partition_seed: u64,
-    threads: Threads,
 ) -> Vec<StreamSweepRow> {
     let failed = |p: &RepartitionPolicy| StreamSweepRow::failed(name, p.label(), spec.batches);
     let Some(Ok(part)) = family.partition(name, k, partition_seed) else {
         return policies.iter().map(failed).collect();
     };
-    let engine = family.engine(&part, threads, TraceSink::disabled()).expect("valid config");
+    let engine = family.engine(&part, TraceSink::disabled()).expect("valid config");
     let leg = |policy| RunSpec::healthy().stream(*spec, policy).stream_partitioner(name);
     let run = |policy| engine.run(&leg(policy)).ok().map(|r| r.into_stream());
     let Some(never) = run(RepartitionPolicy::Never) else {
@@ -243,7 +239,7 @@ fn stream_cell<F: Family>(
             };
             let again = run(policy).expect("rerun of a completed stream");
             let traced = family
-                .engine(&part, threads, TraceSink::enabled())
+                .engine(&part, TraceSink::enabled())
                 .expect("valid config")
                 .run(&leg(policy))
                 .expect("traced rerun of a completed stream")

@@ -3,7 +3,7 @@
 //! Both grids run one job per partitioner on the `gp-exec` pool
 //! ([`gp_exec::par_map`]). Each job is a pure function of its inputs and
 //! writes into an index-addressed slot, so the outcome vector is
-//! **bit-identical for every `(sweep, engine)` width pair**
+//! **bit-identical for every pool width**
 //! (`Threads::serial()` is the conformance oracle). Each grid takes its
 //! engine family's value, whose engines it builds, but the two keep
 //! separate bodies: their outcomes report different fields, and
@@ -11,7 +11,7 @@
 //! full-batch epochs have no use for.
 
 use gp_cluster::TraceSink;
-use gp_exec::{par_map, Parallelism};
+use gp_exec::{par_map, Threads};
 
 use crate::config::PaperParams;
 use crate::experiment::{TimedEdgePartition, TimedVertexPartition};
@@ -51,7 +51,7 @@ impl DistGnnGridOutcome {
 /// Sweep the grid for every timed edge partition of `family`'s graph:
 /// one engine per partitioner on `family`'s configuration, one epoch of
 /// `family`'s model kind per grid point, outcomes in `timed` order,
-/// bit-identical for every `(sweep, engine)` width pair. `timed` must
+/// bit-identical for every pool width. `timed` must
 /// contain the `Random` baseline.
 ///
 /// # Panics
@@ -61,16 +61,14 @@ pub fn distgnn_grid(
     family: &DistGnn<'_>,
     timed: &[TimedEdgePartition],
     grid: &[PaperParams],
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Vec<DistGnnGridOutcome> {
     let _prof = gp_prof::scope("core.sweep.distgnn_grid");
-    let par = par.into();
     let random = timed.iter().find(|t| t.name == "Random").expect("Random baseline required");
     let kind = family.model.kind;
     // Baseline reports per grid point, computed once up front.
-    let random_engine = family
-        .native_engine(&random.partition, par.engine, TraceSink::disabled())
-        .expect("valid config");
+    let random_engine =
+        family.native_engine(&random.partition, TraceSink::disabled()).expect("valid config");
     let base: Vec<_> =
         grid.iter().map(|p| random_engine.simulate_epoch_for(&p.model(kind))).collect();
 
@@ -80,7 +78,7 @@ pub fn distgnn_grid(
             let base = &base;
             move || {
                 let engine = family
-                    .native_engine(&t.partition, par.engine, TraceSink::disabled())
+                    .native_engine(&t.partition, TraceSink::disabled())
                     .expect("valid config");
                 let mut speedups = Vec::with_capacity(grid.len());
                 let mut memory_pct = Vec::with_capacity(grid.len());
@@ -113,7 +111,7 @@ pub fn distgnn_grid(
             }
         })
         .collect();
-    par_map(par.sweep, jobs)
+    par_map(threads, jobs)
 }
 
 /// Per-partitioner outcome of a DistDGL grid sweep.
@@ -148,7 +146,7 @@ impl DistDglGridOutcome {
 /// Sweep the grid for every timed vertex partition of `family`'s graph
 /// with `family`'s model kind, split and global batch size: one job per
 /// partitioner, outcomes in `timed` order, bit-identical for every
-/// `(sweep, engine)` width pair. Sampling is reused across grid points
+/// pool width. Sampling is reused across grid points
 /// with the same layer count (dimensions do not affect sampled blocks).
 ///
 /// # Panics
@@ -158,10 +156,9 @@ pub fn distdgl_grid(
     family: &DistDgl<'_>,
     timed: &[TimedVertexPartition],
     grid: &[PaperParams],
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Vec<DistDglGridOutcome> {
     let _prof = gp_prof::scope("core.sweep.distdgl_grid");
-    let par = par.into();
     let random = timed.iter().find(|t| t.name == "Random").expect("Random baseline required");
     let kind = family.model.kind;
     let layer_counts: Vec<usize> = {
@@ -176,7 +173,7 @@ pub fn distdgl_grid(
     let simulate = |t: &TimedVertexPartition| -> Vec<gp_distdgl::EpochSummary> {
         let engine = |params: PaperParams| {
             DistDgl { model: params.model(kind), ..*family }
-                .native_engine(&t.partition, par.engine, TraceSink::disabled())
+                .native_engine(&t.partition, TraceSink::disabled())
                 .expect("valid config")
         };
         let mut summaries = Vec::with_capacity(grid.len());
@@ -233,7 +230,7 @@ pub fn distdgl_grid(
             }
         })
         .collect();
-    par_map(par.sweep, jobs)
+    par_map(threads, jobs)
 }
 
 fn pct(own: u64, base: u64) -> f64 {

@@ -12,7 +12,7 @@
 //! test suites), so a traced run is also a faithful run.
 
 use gp_cluster::{FaultPlan, MitigationPolicy, RunSpec, TraceSink};
-use gp_exec::{Parallelism, Threads};
+use gp_exec::Threads;
 
 use crate::experiment::Timed;
 use crate::family::{try_cells, Family};
@@ -29,10 +29,9 @@ pub fn trace_run<F: Family>(
     family: &F,
     partition: &F::Partition,
     spec: &RunSpec,
-    engine_threads: Threads,
 ) -> Result<TraceSink, F::Error> {
     let sink = TraceSink::enabled();
-    family.engine(partition, engine_threads, sink.clone())?.run(spec)?.strict()?;
+    family.engine(partition, sink.clone())?.run(spec)?.strict()?;
     Ok(sink)
 }
 
@@ -73,14 +72,11 @@ pub fn trace_runs<F: Family>(
     epochs: u32,
     plan: Option<&FaultPlan>,
     mitigate: bool,
-    par: impl Into<Parallelism>,
+    threads: Threads,
 ) -> Result<NamedTraces, F::Error> {
     let _prof = gp_prof::scope_label(|| format!("core.trace.{}", F::NAME));
-    let par = par.into();
     let spec = &trace_spec(epochs, plan, mitigate);
-    try_cells(timed, par.sweep, |t| {
-        Ok((t.name.clone(), trace_run(family, &t.partition, spec, par.engine)?))
-    })
+    try_cells(timed, threads, |t| Ok((t.name.clone(), trace_run(family, &t.partition, spec)?)))
 }
 
 /// Per-(worker, phase) aggregate of a recorded trace as a results
@@ -131,7 +127,7 @@ mod tests {
         let timed = timed_edge_partitions(&g, 4, 1, Threads::serial());
         let gnn = DistGnn::new(&g, PaperParams::middle().model(ModelKind::Sage));
         let spec = trace_spec(2, None, false);
-        let sink = trace_run(&gnn, &timed[0].partition, &spec, Threads::serial()).unwrap();
+        let sink = trace_run(&gnn, &timed[0].partition, &spec).unwrap();
         assert!(!sink.spans().is_empty());
         assert!(sink.spans().iter().any(|s| s.epoch == 1), "both epochs recorded");
         let json = sink.to_chrome_json();
@@ -168,13 +164,7 @@ mod tests {
             ..DistDgl::new(&g, &split, PaperParams::middle().model(ModelKind::Sage))
         };
         let plan = slowdown_plan();
-        let sink = trace_run(
-            &dgl,
-            &timed[0].partition,
-            &trace_spec(3, Some(&plan), true),
-            Threads::serial(),
-        )
-        .unwrap();
+        let sink = trace_run(&dgl, &timed[0].partition, &trace_spec(3, Some(&plan), true)).unwrap();
         assert!(!sink.spans().is_empty());
         assert!(sink.spans().iter().any(|s| s.epoch == 2), "all epochs recorded");
         assert!(!sink.phase_csv().is_empty());

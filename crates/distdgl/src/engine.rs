@@ -463,9 +463,8 @@ impl<'a, 'b> DistDglEngineBuilder<'a, 'b> {
     /// (step × worker) sampling of a whole epoch — fan out over index-
     /// addressed slots on the deterministic pool; each slot derives its
     /// RNG stream by hashing `(seed, epoch, step, worker)`, so results
-    /// are byte-identical at any width. Composes with sweep-level
-    /// parallelism: the engine width applies inside whichever sweep
-    /// cell runs this engine.
+    /// are byte-identical at any width. A library-only setting: no
+    /// front end or gp-core sweep sets it.
     pub fn threads(mut self, threads: Threads) -> Self {
         self.threads = threads;
         self

@@ -225,9 +225,10 @@ impl<'a> DistGnnEngineBuilder<'a> {
     }
 
     /// Intra-epoch `gp-exec` width (default: serial). The pool fans
-    /// per-layer vertex-block scans over index-addressed slots, so any
-    /// width reproduces the serial epoch bit-for-bit; it composes
-    /// freely with the sweep-level pool one layer up.
+    /// each layer's compute out one job per machine view over
+    /// index-addressed slots, so any width reproduces the serial epoch
+    /// bit-for-bit. A library-only setting: no front end or gp-core
+    /// sweep sets it.
     pub fn threads(mut self, threads: Threads) -> Self {
         self.threads = threads;
         self

@@ -104,48 +104,6 @@ impl fmt::Display for Threads {
     }
 }
 
-/// A two-level width policy: how many workers the *sweep* pool fans
-/// cells onto, and how many workers each engine uses *inside* an epoch
-/// (intra-epoch [`par_map`] over per-worker compute, blocked kernels,
-/// per-worker sampling).
-///
-/// Front ends accept `impl Into<Parallelism>`; a bare [`Threads`]
-/// converts with a serial engine level. Both levels are
-/// index-addressed, so any `(sweep, engine)` pair is bit-identical to
-/// `(serial, serial)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Parallelism {
-    /// Pool width for sweep-level cells (one job per grid cell).
-    pub sweep: Threads,
-    /// Pool width for intra-epoch work inside each engine.
-    pub engine: Threads,
-}
-
-impl Parallelism {
-    /// Serial at both levels — the conformance oracle.
-    pub const fn serial() -> Self {
-        Parallelism { sweep: Threads::serial(), engine: Threads::serial() }
-    }
-
-    /// An explicit `(sweep, engine)` pair.
-    pub const fn new(sweep: Threads, engine: Threads) -> Self {
-        Parallelism { sweep, engine }
-    }
-}
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        Parallelism::serial()
-    }
-}
-
-impl From<Threads> for Parallelism {
-    /// A bare sweep width with a serial engine level.
-    fn from(sweep: Threads) -> Self {
-        Parallelism { sweep, engine: Threads::serial() }
-    }
-}
-
 /// One job's value, or its stringified panic message (`&str` / `String`
 /// payloads verbatim; anything else becomes a placeholder).
 type Outcome<T> = Result<T, String>;
@@ -269,15 +227,6 @@ mod tests {
         let caller = std::thread::current().id();
         let ran_on = par_map(Threads::new(8), vec![|| std::thread::current().id()]);
         assert_eq!(ran_on, vec![caller], "one job never needs a pool");
-    }
-
-    #[test]
-    fn parallelism_defaults_and_conversion() {
-        assert_eq!(Parallelism::default(), Parallelism::serial());
-        assert_eq!(Parallelism::serial(), Parallelism::new(Threads::serial(), Threads::serial()));
-        let par = Parallelism::from(Threads::new(4));
-        assert_eq!(par.sweep, Threads::new(4));
-        assert_eq!(par.engine, Threads::serial(), "a bare width keeps the engine serial");
     }
 
     #[test]

@@ -210,7 +210,7 @@ impl Drop for Scope {
             t.stack.pop();
             t.pending.entry(key).or_insert(NodeStat::EMPTY).record(secs);
             // Flush per-thread aggregates whenever the thread leaves its
-            // outermost scope: hot inner scopes (tensor panels, cells)
+            // outermost scope: hot inner scopes (tensor matmuls, cells)
             // touch only the thread-local map, the global mutex is taken
             // once per top-level scope.
             if t.stack.is_empty() {

@@ -11,8 +11,6 @@
 //! makes GAT noticeably more compute-heavy than GraphSAGE — an effect
 //! the paper's Figure 25 shows directly.
 
-use gp_exec::Threads;
-
 use crate::block::Aggregation;
 use crate::init::xavier_uniform;
 use crate::layers::Layer;
@@ -32,7 +30,6 @@ pub struct GatLayer {
     relu: bool,
     in_dim: usize,
     out_dim: usize,
-    threads: Threads,
     cache_x: Option<Tensor>,
     cache_z: Option<Tensor>,
     /// Attention weights per block edge (in `Aggregation` index order).
@@ -53,7 +50,6 @@ impl GatLayer {
             relu,
             in_dim,
             out_dim,
-            threads: Threads::serial(),
             cache_x: None,
             cache_z: None,
             cache_alpha: None,
@@ -71,7 +67,7 @@ impl Layer for GatLayer {
     fn forward(&mut self, block: &Aggregation, x: &Tensor) -> Tensor {
         assert_eq!(x.rows(), block.num_src(), "x rows must equal num_src");
         assert_eq!(x.cols(), self.in_dim);
-        let z = x.matmul_with(&self.w.value, self.threads);
+        let z = x.matmul(&self.w.value);
         let a_l = self.a_left.value.row(0);
         let a_r = self.a_right.value.row(0);
         // Right attention term per source (reused across destinations).
@@ -179,8 +175,8 @@ impl Layer for GatLayer {
 
         self.a_left.grad.add_assign(&Tensor::from_vec(1, self.out_dim, da_l));
         self.a_right.grad.add_assign(&Tensor::from_vec(1, self.out_dim, da_r));
-        self.w.grad.add_assign(&x.matmul_at_b_with(&dz, self.threads));
-        dz.matmul_a_bt_with(&self.w.value, self.threads)
+        self.w.grad.add_assign(&x.matmul_at_b(&dz));
+        dz.matmul_a_bt(&self.w.value)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -193,10 +189,6 @@ impl Layer for GatLayer {
 
     fn out_dim(&self) -> usize {
         self.out_dim
-    }
-
-    fn set_threads(&mut self, threads: Threads) {
-        self.threads = threads;
     }
 }
 

@@ -7,8 +7,6 @@
 //! its neighbour mean — the standard "GCN with mean norm" used when
 //! degrees differ between the sampled block and the full graph.
 
-use gp_exec::Threads;
-
 use crate::block::Aggregation;
 use crate::init::xavier_uniform;
 use crate::layers::Layer;
@@ -24,7 +22,6 @@ pub struct GcnLayer {
     relu: bool,
     in_dim: usize,
     out_dim: usize,
-    threads: Threads,
     cache_h: Option<Tensor>,
     cache_y: Option<Tensor>,
 }
@@ -38,7 +35,6 @@ impl GcnLayer {
             relu,
             in_dim,
             out_dim,
-            threads: Threads::serial(),
             cache_h: None,
             cache_y: None,
         }
@@ -58,7 +54,7 @@ impl Layer for GcnLayer {
                 *o += 0.5 * v;
             }
         }
-        let mut y = h.matmul_with(&self.w.value, self.threads);
+        let mut y = h.matmul(&self.w.value);
         y.add_bias(self.b.value.row(0));
         if self.relu {
             relu_inplace(&mut y);
@@ -75,9 +71,9 @@ impl Layer for GcnLayer {
         if self.relu {
             relu_backward_inplace(&mut dy, &y);
         }
-        self.w.grad.add_assign(&h.matmul_at_b_with(&dy, self.threads));
+        self.w.grad.add_assign(&h.matmul_at_b(&dy));
         self.b.grad.add_assign(&Tensor::from_vec(1, self.out_dim, dy.sum_rows()));
-        let mut dh = dy.matmul_a_bt_with(&self.w.value, self.threads);
+        let mut dh = dy.matmul_a_bt(&self.w.value);
         dh.scale(0.5);
         // dh flows to sources through the mean and to destinations
         // directly (both scaled by ½, already applied above).
@@ -101,10 +97,6 @@ impl Layer for GcnLayer {
 
     fn out_dim(&self) -> usize {
         self.out_dim
-    }
-
-    fn set_threads(&mut self, threads: Threads) {
-        self.threads = threads;
     }
 }
 

@@ -4,8 +4,6 @@
 //! useful as an MLP baseline and as the building block the GNN layers
 //! are tested against.
 
-use gp_exec::Threads;
-
 use crate::block::Aggregation;
 use crate::init::xavier_uniform;
 use crate::layers::Layer;
@@ -21,7 +19,6 @@ pub struct DenseLayer {
     relu: bool,
     in_dim: usize,
     out_dim: usize,
-    threads: Threads,
     cache_x_dst: Option<Tensor>,
     cache_y: Option<Tensor>,
 }
@@ -35,7 +32,6 @@ impl DenseLayer {
             relu,
             in_dim,
             out_dim,
-            threads: Threads::serial(),
             cache_x_dst: None,
             cache_y: None,
         }
@@ -48,7 +44,7 @@ impl Layer for DenseLayer {
         assert_eq!(x.cols(), self.in_dim);
         let dst_idx: Vec<u32> = (0..block.num_dst() as u32).collect();
         let x_dst = x.select_rows(&dst_idx);
-        let mut y = x_dst.matmul_with(&self.w.value, self.threads);
+        let mut y = x_dst.matmul(&self.w.value);
         y.add_bias(self.b.value.row(0));
         if self.relu {
             relu_inplace(&mut y);
@@ -65,9 +61,9 @@ impl Layer for DenseLayer {
         if self.relu {
             relu_backward_inplace(&mut dy, &y);
         }
-        self.w.grad.add_assign(&x_dst.matmul_at_b_with(&dy, self.threads));
+        self.w.grad.add_assign(&x_dst.matmul_at_b(&dy));
         self.b.grad.add_assign(&Tensor::from_vec(1, self.out_dim, dy.sum_rows()));
-        let dx_dst = dy.matmul_a_bt_with(&self.w.value, self.threads);
+        let dx_dst = dy.matmul_a_bt(&self.w.value);
         // Scatter onto the full source gradient (non-destination sources
         // receive zero gradient from a dense layer).
         let mut dx = Tensor::zeros(block.num_src(), self.in_dim);
@@ -87,10 +83,6 @@ impl Layer for DenseLayer {
 
     fn out_dim(&self) -> usize {
         self.out_dim
-    }
-
-    fn set_threads(&mut self, threads: Threads) {
-        self.threads = threads;
     }
 }
 

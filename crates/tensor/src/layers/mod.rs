@@ -16,8 +16,6 @@ pub use gcn::GcnLayer;
 pub use linear::DenseLayer;
 pub use sage::SageLayer;
 
-use gp_exec::Threads;
-
 use crate::block::Aggregation;
 use crate::optim::Param;
 use crate::tensor::Tensor;
@@ -54,11 +52,6 @@ pub trait Layer {
     fn num_params(&mut self) -> usize {
         self.params_mut().iter().map(|p| p.len()).sum()
     }
-
-    /// Set the `gp-exec` width used by this layer's dense kernels.
-    /// Threaded kernels are bit-identical to serial, so this only
-    /// changes scheduling, never results. Default: ignore (serial).
-    fn set_threads(&mut self, _threads: Threads) {}
 }
 
 #[cfg(test)]

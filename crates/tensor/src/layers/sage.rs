@@ -5,8 +5,6 @@
 //! This is the model DistGNN supports and the paper's primary
 //! architecture.
 
-use gp_exec::Threads;
-
 use crate::block::Aggregation;
 use crate::init::xavier_uniform;
 use crate::layers::Layer;
@@ -23,7 +21,6 @@ pub struct SageLayer {
     relu: bool,
     in_dim: usize,
     out_dim: usize,
-    threads: Threads,
     cache_x_dst: Option<Tensor>,
     cache_agg: Option<Tensor>,
     cache_y: Option<Tensor>,
@@ -39,7 +36,6 @@ impl SageLayer {
             relu,
             in_dim,
             out_dim,
-            threads: Threads::serial(),
             cache_x_dst: None,
             cache_agg: None,
             cache_y: None,
@@ -54,8 +50,8 @@ impl Layer for SageLayer {
         let dst_idx: Vec<u32> = (0..block.num_dst() as u32).collect();
         let x_dst = x.select_rows(&dst_idx);
         let agg = block.mean(x);
-        let mut y = x_dst.matmul_with(&self.w_self.value, self.threads);
-        y.add_assign(&agg.matmul_with(&self.w_neigh.value, self.threads));
+        let mut y = x_dst.matmul(&self.w_self.value);
+        y.add_assign(&agg.matmul(&self.w_neigh.value));
         y.add_bias(self.b.value.row(0));
         if self.relu {
             relu_inplace(&mut y);
@@ -74,13 +70,13 @@ impl Layer for SageLayer {
         if self.relu {
             relu_backward_inplace(&mut dy, &y);
         }
-        self.w_self.grad.add_assign(&x_dst.matmul_at_b_with(&dy, self.threads));
-        self.w_neigh.grad.add_assign(&agg.matmul_at_b_with(&dy, self.threads));
+        self.w_self.grad.add_assign(&x_dst.matmul_at_b(&dy));
+        self.w_neigh.grad.add_assign(&agg.matmul_at_b(&dy));
         self.b.grad.add_assign(&Tensor::from_vec(1, self.out_dim, dy.sum_rows()));
         // Gradient to sources: through the self path (destinations only)
         // and through the mean aggregation (all sources).
-        let dx_self = dy.matmul_a_bt_with(&self.w_self.value, self.threads);
-        let dagg = dy.matmul_a_bt_with(&self.w_neigh.value, self.threads);
+        let dx_self = dy.matmul_a_bt(&self.w_self.value);
+        let dagg = dy.matmul_a_bt(&self.w_neigh.value);
         let mut dx = block.mean_backward(&dagg);
         for d in 0..block.num_dst() {
             let row = dx.row_mut(d);
@@ -101,10 +97,6 @@ impl Layer for SageLayer {
 
     fn out_dim(&self) -> usize {
         self.out_dim
-    }
-
-    fn set_threads(&mut self, threads: Threads) {
-        self.threads = threads;
     }
 }
 

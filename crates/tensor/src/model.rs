@@ -114,15 +114,6 @@ impl GnnModel {
         self.layers.len()
     }
 
-    /// Set the `gp-exec` width every layer uses for its dense kernels.
-    /// Bit-transparent: threaded kernels reproduce the serial results
-    /// exactly, so this only changes wall-clock, never training output.
-    pub fn set_threads(&mut self, threads: gp_exec::Threads) {
-        for l in &mut self.layers {
-            l.set_threads(threads);
-        }
-    }
-
     /// Forward pass through all layers. `blocks[i]` feeds layer `i`
     /// (outermost sampled hop first); `x` has `blocks[0].num_src()` rows.
     ///

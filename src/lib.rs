@@ -44,14 +44,12 @@
 //!     .remove(0);
 //! assert!(report.epoch_time() > 0.0);
 //!
-//! // Record the same epoch as a span trace (zero-cost when disabled),
-//! // with the intra-epoch compute spread over 4 pool threads — both
-//! // knobs are observational: the report is bit-identical.
+//! // Record the same epoch as a span trace (zero-cost when disabled);
+//! // tracing is observational: the report is bit-identical.
 //! let sink = TraceSink::enabled();
 //! let traced = DistGnnEngine::builder(&graph, &partition)
 //!     .config(config)
 //!     .trace(sink.clone())
-//!     .threads(Threads::new(4))
 //!     .build()
 //!     .unwrap();
 //! let traced_report =

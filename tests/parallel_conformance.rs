@@ -239,11 +239,9 @@ fn stream_sweeps_are_bit_identical_across_thread_counts() {
         let par_v = stream_sweep(&dgl, &names_v, 4, &spec, &policies, 1, Threads::new(threads));
         assert_eq!(par_v, serial_v, "distdgl threads = {threads}");
     }
-    // Nested pools (4-wide sweep x 4-wide engines) still match, and
-    // both exported artifacts are byte-identical, not just f64-equal.
-    let nested = Parallelism::new(Threads::new(4), Threads::new(4));
-    let par_e = stream_sweep(&gnn, &names_e, 4, &spec, &policies, 1, nested);
-    let par_v = stream_sweep(&dgl, &names_v, 4, &spec, &policies, 1, nested);
+    // Both exported artifacts are byte-identical, not just f64-equal.
+    let par_e = stream_sweep(&gnn, &names_e, 4, &spec, &policies, 1, Threads::new(4));
+    let par_v = stream_sweep(&dgl, &names_v, 4, &spec, &policies, 1, Threads::new(4));
     assert_eq!(
         stream_table("conformance", &par_e).to_csv(),
         stream_table("conformance", &serial_e).to_csv(),
@@ -524,33 +522,6 @@ fn distdgl_more_engine_threads_than_workers_match_serial() {
         let wide = distdgl_outcome(&g, &partition, &split, &spec, Threads::new(8));
         assert_eq!(wide, serial, "{name}: k = 2, engine threads = 8");
     }
-}
-
-#[test]
-fn nested_sweep_and_engine_pools_match_the_serial_oracle() {
-    // The two pool levels compose: a 4-wide sweep whose every cell runs
-    // a 4-wide intra-epoch engine must still equal the fully-serial
-    // oracle, grid and soak alike.
-    let g = graph();
-    let split = VertexSplit::paper_default(g.num_vertices(), 1).unwrap();
-    let timed_e = timed_edge_partitions(&g, 4, 1, Threads::serial());
-    let timed_v = timed_vertex_partitions(&g, 4, 1, &split.train, Threads::serial());
-    let grid = small_grid();
-    let nested = Parallelism::new(Threads::new(4), Threads::new(4));
-
-    let serial_e = distgnn_grid(&gnn(&g), &timed_e, &grid, Threads::serial());
-    let par_e = distgnn_grid(&gnn(&g), &timed_e, &grid, nested);
-    assert_eq!(par_e, serial_e, "distgnn grid: sweep 4 x engine 4");
-
-    let serial_v = distdgl_grid(&dgl(&g, &split), &timed_v, &grid, Threads::serial());
-    let par_v = distdgl_grid(&dgl(&g, &split), &timed_v, &grid, nested);
-    assert_eq!(par_v, serial_v, "distdgl grid: sweep 4 x engine 4");
-
-    let soak_timed: Vec<_> = timed_e.into_iter().take(1).collect();
-    let gnn = gnn(&g);
-    let serial_soak = chaos_soak(&gnn, &soak_timed, 8, 5.0, 2, 0xc4a05, Threads::serial());
-    let par_soak = chaos_soak(&gnn, &soak_timed, 8, 5.0, 2, 0xc4a05, nested);
-    assert_eq!(par_soak, serial_soak, "distgnn chaos soak: sweep 4 x engine 4");
 }
 
 #[test]
