@@ -242,6 +242,80 @@ mod tests {
         Tensor::from_vec(rows, cols, v.to_vec())
     }
 
+    /// Pseudo-random but deterministic fill with a sprinkle of exact
+    /// zeros so the kernels' zero-skip path is exercised.
+    fn filled(rows: usize, cols: usize, salt: u64) -> Tensor {
+        let mut state = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut data = Vec::with_capacity(rows * cols);
+        for _ in 0..rows * cols {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            if state.is_multiple_of(7) {
+                data.push(0.0);
+            } else {
+                data.push(((state % 2000) as f32 - 1000.0) / 256.0);
+            }
+        }
+        Tensor::from_vec(rows, cols, data)
+    }
+
+    /// Textbook `a · b`: each output element sums its products in
+    /// increasing inner index from `0.0`.
+    fn naive(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0f32;
+                for k in 0..a.cols() {
+                    acc += a.get(i, k) * b.get(k, j);
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    fn transpose(a: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(a.cols(), a.rows());
+        for r in 0..a.rows() {
+            for c in 0..a.cols() {
+                out.set(c, r, a.get(r, c));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn matmul_family_bitwise_matches_a_naive_product() {
+        // Finite inputs: skipping a zero product adds nothing, so the
+        // kernels' zero-skip and loop orders must reproduce the naive
+        // sums bit for bit, on square, tall, wide and degenerate shapes.
+        for (salt, (n, m, p)) in [(1, 1), (3, 5), (5, 3), (70, 9), (9, 70)]
+            .into_iter()
+            .flat_map(|(n, m)| [(n, m, 1), (n, m, 13)])
+            .enumerate()
+        {
+            let salt = salt as u64 * 4;
+            let a = filled(n, m, salt + 1);
+            let b = filled(m, p, salt + 2);
+            let at = filled(n, p, salt + 3);
+            let bt = filled(p, m, salt + 4);
+            let shape = format!("{n}x{m}, {p}");
+            assert_eq!(a.matmul(&b).data(), naive(&a, &b).data(), "matmul {shape}");
+            assert_eq!(
+                a.matmul_at_b(&at).data(),
+                naive(&transpose(&a), &at).data(),
+                "matmul_at_b {shape}"
+            );
+            assert_eq!(
+                a.matmul_a_bt(&bt).data(),
+                naive(&a, &transpose(&bt)).data(),
+                "matmul_a_bt {shape}"
+            );
+        }
+    }
+
     #[test]
     fn matmul_basic() {
         let a = t(2, 3, &[1., 2., 3., 4., 5., 6.]);

@@ -525,6 +525,41 @@ fn distdgl_more_engine_threads_than_workers_match_serial() {
 }
 
 #[test]
+fn nested_sweep_and_engine_pools_match_the_serial_oracle() {
+    // The engine builders' width composes with the sweep pool: a 4-wide
+    // `par_map` whose every cell runs a 4-wide engine must still equal
+    // serial cells on serial engines, on every RunSpec path of both
+    // systems.
+    let g = graph();
+    let split = VertexSplit::paper_default(g.num_vertices(), 1).unwrap();
+    let edge = Hdrf::default().partition_edges(&g, 4, 1).unwrap();
+    let vertex = Metis::default().partition_vertices(&g, 4, 1).unwrap();
+    let specs = conformance_specs(4, 6, 7);
+    let cells = |sweep: usize, engine: usize| {
+        let jobs: Vec<_> = specs
+            .iter()
+            .flat_map(|(_, spec)| [(spec, true), (spec, false)])
+            .map(|(spec, full_batch)| {
+                let (g, edge, vertex, split) = (&g, &edge, &vertex, &split);
+                move || {
+                    let threads = Threads::new(engine);
+                    if full_batch {
+                        distgnn_outcome(g, edge, spec, threads)
+                    } else {
+                        distdgl_outcome(g, vertex, split, spec, threads)
+                    }
+                }
+            })
+            .collect();
+        gnnpart::exec::par_map(Threads::new(sweep), jobs)
+    };
+    let serial = cells(1, 1);
+    assert_eq!(serial.len(), 2 * specs.len());
+    assert_eq!(cells(4, 4), serial, "sweep 4 x engine 4");
+    assert_eq!(cells(2, 8), serial, "sweep 2 x engine 8");
+}
+
+#[test]
 fn advisor_ranking_is_identical_across_thread_counts() {
     let g = graph();
     let gnn = gnn(&g);
